@@ -16,49 +16,43 @@ import (
 	"indulgence/internal/check"
 	"indulgence/internal/journal"
 	"indulgence/internal/model"
-	"indulgence/internal/service"
 	"indulgence/internal/shard"
 	"indulgence/internal/stats"
 	"indulgence/internal/transport"
 	"indulgence/internal/wire"
 )
 
-// servePeer is `serve -peers ...`: this process runs as ONE member of a
-// multi-process cluster, listening on its own peer entry and dialing the
-// others. Proposals still arrive one per stdin line; decisions print
-// when this member's node of the instance decides. explicit names the
-// flags the user actually set, so silently-overridden ones can error
-// instead.
-func servePeer(f serviceFlags, explicit map[string]bool) error {
-	factory, err := factoryByName(*f.algo)
-	if err != nil {
-		return err
-	}
+// peerEndpoint is the transport of peer mode (`serve -peers ...`): this
+// process runs ONE member of a multi-process cluster, listening on its
+// own peer entry and dialing the others. The peer list is authoritative
+// there: an explicit -n that contradicts it, or an explicit non-TCP
+// -transport, is a misconfiguration the user should hear about, not a
+// silent override.
+func (f serviceFlags) peerEndpoint() (*transport.TCPEndpoint, transport.PeerConfig, error) {
+	var cfg transport.PeerConfig
 	if *f.self < 1 {
-		return fmt.Errorf("peer mode needs -self (this process's ID in the peer list)")
+		return nil, cfg, fmt.Errorf("peer mode needs -self (this process's ID in the peer list)")
 	}
 	self := model.ProcessID(*f.self)
-	var cfg transport.PeerConfig
+	var err error
 	if *f.peersFile != "" {
 		if *f.peers != "" {
-			return fmt.Errorf("-peers and -peers-file are mutually exclusive")
+			return nil, cfg, fmt.Errorf("-peers and -peers-file are mutually exclusive")
 		}
 		cfg, err = transport.LoadPeerFile(self, *f.clusterID, *f.peersFile)
 	} else {
 		cfg, err = transport.ParsePeers(self, *f.clusterID, *f.peers)
 	}
 	if err != nil {
-		return err
+		return nil, cfg, err
 	}
-	// The peer list is authoritative in peer mode: an explicit -n that
-	// contradicts it, or an explicit non-TCP -transport, is a
-	// misconfiguration the user should hear about, not a silent
-	// override.
+	explicit := make(map[string]bool)
+	f.fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 	if explicit["n"] && *f.n != cfg.N() {
-		return fmt.Errorf("peer mode: -n %d contradicts the %d-member peer list (drop -n; the peer list decides)", *f.n, cfg.N())
+		return nil, cfg, fmt.Errorf("peer mode: -n %d contradicts the %d-member peer list (drop -n; the peer list decides)", *f.n, cfg.N())
 	}
 	if explicit["transport"] && *f.trans != "tcp" {
-		return fmt.Errorf("peer mode: -transport %s is not available (peer clusters are always tcp)", *f.trans)
+		return nil, cfg, fmt.Errorf("peer mode: -transport %s is not available (peer clusters are always tcp)", *f.trans)
 	}
 	opts := transport.TCPOptions{}
 	if *f.verbose {
@@ -67,124 +61,7 @@ func servePeer(f serviceFlags, explicit map[string]bool) error {
 		}
 	}
 	ep, err := transport.NewTCPEndpoint(cfg, opts)
-	if err != nil {
-		return err
-	}
-	defer ep.Close()
-
-	// Algorithm selection stays off in peer mode: one member cannot
-	// switch a shared slot's protocol unilaterally.
-	peerOpts := service.PeerOptions{
-		T:           *f.t,
-		Factory:     factory,
-		BaseTimeout: *f.timeout,
-		MaxBatch:    *f.batch,
-		Linger:      *f.linger,
-		MaxInflight: *f.inflight,
-		JoinTimeout: *f.joinTimeout,
-		Adaptive:    f.adaptConfig(false),
-	}
-	if *f.groups > 1 {
-		return servePeerShard(f, cfg, peerOpts, ep, self)
-	}
-	if *f.groups < 1 {
-		return fmt.Errorf("need at least one consensus group, got -groups %d", *f.groups)
-	}
-
-	var jn *journal.Journal
-	if *f.journal != "" {
-		jn, err = journal.Open(*f.journal, journal.Options{SegmentBytes: *f.segment})
-		if err != nil {
-			return err
-		}
-		defer jn.Close()
-	}
-	peerOpts.Journal = jn
-	svc, err := service.NewPeer(peerOpts, cfg.N(), ep)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, batch ≤ %d, ≤ %d slots inflight\n",
-		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr(), *f.batch, *f.inflight)
-	if *f.adaptive {
-		fmt.Println("adaptive control plane on: batch/linger tuning + admission (algorithm selection is single-process only)")
-	}
-	if jn != nil {
-		printJournalRecovery(jn)
-	}
-	fmt.Println("enter one integer proposal per line (EOF to stop):")
-
-	scanErr := serveLoop(svc)
-	if err := svc.Close(); err != nil {
-		return err
-	}
-	st := svc.Snapshot()
-	fmt.Printf("served %d proposals over %d instances (%d joined from peers); latency %s\n",
-		st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
-	if *f.adaptive {
-		fmt.Printf("control plane: %d adjustments over %d ticks, final batch ≤ %d linger %s, %d proposals shed\n",
-			st.Control.Adjustments, st.Control.Ticks, st.Control.Batch, st.Control.Linger, st.Overloads)
-	}
-	if jn != nil {
-		js := jn.Snapshot()
-		fmt.Printf("journal: %d decisions durable over %d fsyncs; fsync %s\n",
-			js.Decisions, js.Syncs, js.SyncLatency)
-	}
-	return scanErr
-}
-
-// servePeerShard is peer mode with -groups > 1: this member runs one
-// service.PeerService per group over a single group-aware mux, with the
-// placement router in front. Every member of the cluster must be
-// launched with the same -groups value — a slot's owning group is slot
-// mod groups on every member.
-func servePeerShard(f serviceFlags, cfg transport.PeerConfig, peerOpts service.PeerOptions, ep *transport.TCPEndpoint, self model.ProcessID) error {
-	policy, err := shard.ParsePolicy(*f.placement)
-	if err != nil {
-		return err
-	}
-	rt, err := shard.NewPeer(shard.PeerConfig{
-		Peer:           peerOpts,
-		Groups:         *f.groups,
-		Placement:      policy,
-		JournalDir:     *f.journal,
-		JournalOptions: journal.Options{SegmentBytes: *f.segment},
-	}, cfg.N(), ep)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, %d groups (%s placement), batch ≤ %d, ≤ %d slots inflight/group\n",
-		self, cfg.N(), cfg.ClusterID(), *f.algo, *f.t, ep.Addr(), rt.Groups(), rt.Policy(), *f.batch, *f.inflight)
-	if *f.adaptive {
-		fmt.Println("adaptive control plane on: batch/linger tuning + admission (algorithm selection is single-process only)")
-	}
-	for _, jn := range rt.Journals() {
-		printJournalRecovery(jn)
-	}
-	fmt.Println("enter one integer proposal per line (EOF to stop):")
-
-	scanErr := serveLoop(rt)
-	if err := rt.Close(); err != nil {
-		return err
-	}
-	roll := rt.Snapshot()
-	joined := 0
-	for _, st := range roll.Groups {
-		joined += st.JoinedInstances
-	}
-	fmt.Printf("served %d proposals over %d instances across %d groups (%d joined from peers)\n",
-		roll.Resolved, roll.Instances, rt.Groups(), joined)
-	for g, st := range roll.Groups {
-		fmt.Printf("  group %d: %d proposals over %d instances (%d joined); latency %s\n",
-			g, st.Resolved, st.Instances, st.JoinedInstances, st.Latency)
-	}
-	printShardJournals(rt.Journals())
-	if len(roll.Violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
-	}
-	return scanErr
+	return ep, cfg, err
 }
 
 // clusterChild is one spawned `serve -peers` process of the cluster

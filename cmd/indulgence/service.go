@@ -91,6 +91,8 @@ type serviceFlags struct {
 	// Multi-process peer mode (serve only): a non-empty -peers or
 	// -peers-file makes this process ONE member of a cluster of
 	// separately launched processes instead of hosting all n in-process.
+	// fs tells flags the user set from defaults.
+	fs          *flag.FlagSet
 	peers       *string
 	peersFile   *string
 	self        *int
@@ -101,6 +103,7 @@ type serviceFlags struct {
 
 func newServiceFlags(fs *flag.FlagSet) serviceFlags {
 	return serviceFlags{
+		fs:       fs,
 		algo:     fs.String("algo", "atplus2", "algorithm"),
 		n:        fs.Int("n", 5, "number of processes"),
 		t:        fs.Int("t", 2, "resilience bound"),
@@ -132,18 +135,21 @@ func newServiceFlags(fs *flag.FlagSet) serviceFlags {
 	}
 }
 
+// peerMode reports whether the flags make this process one member of a
+// multi-process cluster.
+func (f serviceFlags) peerMode() bool { return *f.peers != "" || *f.peersFile != "" }
+
 // adaptConfig builds the control-plane config the flags ask for (nil
-// without -adaptive). selectAlgos additionally gates the selector —
-// peer mode must pass false, a member cannot switch a shared slot's
-// protocol unilaterally.
-func (f serviceFlags) adaptConfig(selectAlgos bool) *adapt.Config {
+// without -adaptive). The selector stays off in peer mode: a member
+// cannot switch a shared slot's protocol unilaterally.
+func (f serviceFlags) adaptConfig() *adapt.Config {
 	if !*f.adaptive {
 		return nil
 	}
 	cfg := &adapt.Config{
 		MaxBatch:         *f.adaptBatchMax,
 		MaxLinger:        *f.adaptLingMax,
-		SelectAlgorithms: selectAlgos && *f.adaptSelect,
+		SelectAlgorithms: *f.adaptSelect && !f.peerMode(),
 		Classes:          *f.classes,
 	}
 	if *f.verbose {
@@ -161,6 +167,8 @@ type started struct {
 	svc     *service.Service // -groups 1
 	rt      *shard.Runtime   // -groups > 1
 	hub     *transport.Hub
+	peer    *transport.TCPEndpoint // peer mode: this member's endpoint
+	peerCfg transport.PeerConfig
 	jn      *journal.Journal   // single-group journal; sharded ones live in rt
 	ops     *metrics.OpsServer // -metrics-addr endpoint (nil = off)
 	cleanup func()
@@ -183,9 +191,10 @@ func (s *started) close() error {
 }
 
 // start builds the transport, the optional journal(s) and the service —
-// or the sharded runtime for -groups > 1 — from the parsed flags. The
-// returned cleanup closes the transport and the journal; call it after
-// the service is closed.
+// or the sharded runtime for -groups > 1 — from the parsed flags. In
+// peer mode the transport is this member's TCP endpoint and the service
+// runs it as its only local member. The returned cleanup closes the
+// transport and the journal; call it after the service is closed.
 func (f serviceFlags) start() (*started, error) {
 	factory, err := factoryByName(*f.algo)
 	if err != nil {
@@ -198,8 +207,19 @@ func (f serviceFlags) start() (*started, error) {
 	if err != nil {
 		return nil, err
 	}
-	eps, hub, closeTransport, err := buildEndpoints(*f.trans, *f.n)
-	if err != nil {
+	st := &started{}
+	n := *f.n
+	var eps []transport.Transport
+	var closeTransport func()
+	if f.peerMode() {
+		ep, cfg, err := f.peerEndpoint()
+		if err != nil {
+			return nil, err
+		}
+		st.peer, st.peerCfg = ep, cfg
+		eps, n = []transport.Transport{ep}, cfg.N()
+		closeTransport = func() { _ = ep.Close() }
+	} else if eps, st.hub, closeTransport, err = buildEndpoints(*f.trans, n); err != nil {
 		return nil, err
 	}
 	// The ops endpoint and the registry it serves: one registry spans
@@ -220,14 +240,16 @@ func (f serviceFlags) start() (*started, error) {
 			closeTransport()
 		}
 	}
+	st.ops = ops
 	cfg := service.Config{
-		N: *f.n, T: *f.t,
+		N: n, T: *f.t,
 		Factory:     factory,
 		BaseTimeout: *f.timeout,
 		MaxBatch:    *f.batch,
 		Linger:      *f.linger,
 		MaxInflight: *f.inflight,
-		Adaptive:    f.adaptConfig(true),
+		JoinTimeout: *f.joinTimeout,
+		Adaptive:    f.adaptConfig(),
 		Metrics:     reg,
 	}
 	if *f.groups > 1 {
@@ -242,7 +264,8 @@ func (f serviceFlags) start() (*started, error) {
 			cleanup()
 			return nil, err
 		}
-		return &started{rt: rt, hub: hub, ops: ops, cleanup: cleanup}, nil
+		st.rt, st.cleanup = rt, cleanup
+		return st, nil
 	}
 	var jn *journal.Journal
 	if *f.journal != "" {
@@ -268,11 +291,12 @@ func (f serviceFlags) start() (*started, error) {
 		cleanup()
 		return nil, err
 	}
-	return &started{svc: svc, hub: hub, jn: jn, ops: ops, cleanup: cleanup}, nil
+	st.svc, st.jn, st.cleanup = svc, jn, cleanup
+	return st, nil
 }
 
-// proposalSink is what the stdin loop needs from either service shape
-// (the in-process Service or a multi-process PeerService member).
+// proposalSink is what the stdin loop needs from either runtime shape
+// (one service.Service or a shard.Runtime).
 type proposalSink interface {
 	Propose(ctx context.Context, v model.Value) (*service.Future, error)
 }
@@ -334,20 +358,13 @@ func serveLoop(svc proposalSink) error {
 // is one integer proposal; its decision is printed when the instance it
 // was batched into resolves. EOF drains the service and prints a summary.
 // With -peers (or -peers-file) the process serves as ONE member of a
-// multi-process cluster instead of hosting all n processes itself.
+// multi-process cluster instead of hosting all n processes itself, and a
+// decision prints when this member's node of the instance decides.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	f := newServiceFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *f.peers != "" || *f.peersFile != "" {
-		if *f.metricsAddr != "" {
-			return errors.New("-metrics-addr is not supported in peer mode yet")
-		}
-		explicit := make(map[string]bool)
-		fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
-		return servePeer(f, explicit)
 	}
 	s, err := f.start()
 	if err != nil {
@@ -355,15 +372,20 @@ func cmdServe(args []string) error {
 	}
 	defer s.cleanup()
 
-	fmt.Printf("consensus service up: %s, n=%d t=%d, %s transport, batch ≤ %d, linger %s, ≤ %d instances inflight\n",
-		*f.algo, *f.n, *f.t, *f.trans, *f.batch, *f.linger, *f.inflight)
+	if s.peer != nil {
+		fmt.Printf("peer member up: p%d of %d (%s), %s, t=%d, listening on %s, batch ≤ %d, ≤ %d slots inflight\n",
+			s.peer.Self(), s.peerCfg.N(), s.peerCfg.ClusterID(), *f.algo, *f.t, s.peer.Addr(), *f.batch, *f.inflight)
+	} else {
+		fmt.Printf("consensus service up: %s, n=%d t=%d, %s transport, batch ≤ %d, linger %s, ≤ %d instances inflight\n",
+			*f.algo, *f.n, *f.t, *f.trans, *f.batch, *f.linger, *f.inflight)
+	}
 	if s.rt != nil {
 		fmt.Printf("sharded: %d consensus groups, %s placement, strided instance-ID spaces\n",
 			s.rt.Groups(), s.rt.Policy())
 	}
 	if *f.adaptive {
 		mode := "batch/linger tuning + admission"
-		if *f.adaptSelect {
+		if *f.adaptSelect && s.peer == nil {
 			mode += " + per-instance algorithm selection"
 		}
 		fmt.Printf("adaptive control plane on: %s (decision log with -verbose)\n", mode)
@@ -387,11 +409,11 @@ func cmdServe(args []string) error {
 	}
 	if s.rt != nil {
 		roll := s.rt.Snapshot()
-		fmt.Printf("served %d proposals over %d instances across %d groups\n",
-			roll.Resolved, roll.Instances, s.rt.Groups())
+		fmt.Printf("served %d proposals over %d instances across %d groups%s\n",
+			roll.Resolved, roll.Instances, s.rt.Groups(), s.joined(roll.JoinedInstances))
 		for g, st := range roll.Groups {
-			fmt.Printf("  group %d: %d proposals over %d instances; latency %s\n",
-				g, st.Resolved, st.Instances, st.Latency)
+			fmt.Printf("  group %d: %d proposals over %d instances%s; latency %s\n",
+				g, st.Resolved, st.Instances, s.joined(st.JoinedInstances), st.Latency)
 		}
 		printShardJournals(s.rt.Journals())
 		if len(roll.Violations) > 0 {
@@ -400,8 +422,8 @@ func cmdServe(args []string) error {
 		return scanErr
 	}
 	st := s.svc.Snapshot()
-	fmt.Printf("served %d proposals over %d instances; latency %s\n",
-		st.Resolved, st.Instances, st.Latency)
+	fmt.Printf("served %d proposals over %d instances%s; latency %s\n",
+		st.Resolved, st.Instances, s.joined(st.JoinedInstances), st.Latency)
 	if *f.adaptive {
 		fmt.Printf("control plane: %d adjustments over %d ticks, final batch ≤ %d linger %s, %d selector transitions, %d proposals shed; algorithms %s\n",
 			st.Control.Adjustments, st.Control.Ticks, st.Control.Batch, st.Control.Linger,
@@ -416,6 +438,15 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("%d consensus violations: %v", len(st.Violations), st.Violations)
 	}
 	return scanErr
+}
+
+// joined renders a peer member's joined-instance count for the serve
+// summary (empty outside peer mode).
+func (s *started) joined(n int) string {
+	if s.peer == nil {
+		return ""
+	}
+	return fmt.Sprintf(" (%d joined from peers)", n)
 }
 
 // printShardJournals reports the per-group journals' durability summary.
@@ -470,6 +501,9 @@ func cmdBenchService(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if f.peerMode() {
+		return errors.New("bench-service runs every member in-process; -peers is serve-only")
 	}
 	if *wl != "" {
 		return benchWorkload(f, *wl, *record, *liveRec, *limit)

@@ -367,13 +367,8 @@ type (
 	ServiceStats = service.Stats
 	// Mux multiplexes consensus instances over one transport endpoint.
 	Mux = transport.Mux
-	// PeerService is one process's member of a multi-process consensus
-	// cluster (one `serve -peers` per OS process).
-	PeerService = service.PeerService
-	// PeerServiceOptions describes one multi-process member.
-	PeerServiceOptions = service.PeerOptions
 	// AdaptiveConfig describes the feedback control plane attached via
-	// ServiceConfig.Adaptive / PeerServiceOptions.Adaptive: AIMD
+	// ServiceConfig.Adaptive: AIMD
 	// batch/linger tuning, per-instance algorithm selection, and
 	// overload admission control.
 	AdaptiveConfig = adapt.Config
@@ -385,15 +380,12 @@ type (
 // admission control; callers back off and retry.
 var ErrOverload = adapt.ErrOverload
 
-// NewService starts a consensus service over one endpoint per process.
+// NewService starts a consensus service over the endpoints of its local
+// members: one per process for a single-process service, or just this
+// process's own endpoint when the other members run in other OS
+// processes.
 func NewService(cfg ServiceConfig, endpoints []Transport) (*Service, error) {
 	return service.New(cfg, endpoints)
-}
-
-// NewPeerService starts one member of an n-process cluster over its own
-// transport endpoint; the other members run in other OS processes.
-func NewPeerService(cfg PeerServiceOptions, n int, ep Transport) (*PeerService, error) {
-	return service.NewPeer(cfg, n, ep)
 }
 
 // NewMux multiplexes instance-addressed streams over one endpoint.

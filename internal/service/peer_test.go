@@ -5,13 +5,18 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	goruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"indulgence/internal/adapt"
+	"indulgence/internal/chaos/clock"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/journal"
+	"indulgence/internal/metrics"
 	"indulgence/internal/model"
 	"indulgence/internal/transport"
 	"indulgence/internal/wire"
@@ -61,7 +66,6 @@ func peerOpts(jn *journal.Journal) PeerOptions {
 		Linger:      2 * time.Millisecond,
 		MaxInflight: 4,
 		JoinTimeout: 5 * time.Second,
-		FloodGrace:  75 * time.Millisecond,
 		Journal:     jn,
 	}
 }
@@ -358,5 +362,174 @@ func TestNewPeerValidation(t *testing.T) {
 	}
 	if _, err := NewPeer(peerOpts(nil), 2, ep3); err == nil {
 		t.Fatal("endpoint outside the cluster accepted")
+	}
+}
+
+// TestPeerServiceVirtualTime runs four single-member services on one
+// virtual-clock hub: proposals enter every member, the test drives the
+// clock, and every decision must land at round t+2 — the paper's
+// synchronous bound as a live assertion — with check.Replay over the
+// members' journals reporting no violation. Join counts are not pinned:
+// which member initiates a slot and which joins it depends on the
+// scheduling of the members' batchers.
+func TestPeerServiceVirtualTime(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	const n, tol, perMember = 4, 1, 6
+	vc := clock.NewVirtual()
+	hub, err := transport.NewHubClock(n, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	dir := t.TempDir()
+	dirs := make([]string, n)
+	jns := make([]*journal.Journal, n)
+	members := make([]*Service, n)
+	for i := range members {
+		ep, err := hub.Endpoint(model.ProcessID(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs[i] = filepath.Join(dir, fmt.Sprintf("p%d", i+1))
+		if jns[i], err = journal.Open(dirs[i], journal.Options{NoSync: true}); err != nil {
+			t.Fatal(err)
+		}
+		members[i], err = New(Config{
+			N: n, T: tol,
+			Factory:     core.New(core.Options{}),
+			MaxBatch:    2,
+			MaxInflight: 4,
+			Journal:     jns[i],
+			Clock:       vc,
+		}, []transport.Transport{ep})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var futs []*Future
+	for i, svc := range members {
+		for k := 0; k < perMember; k++ {
+			fut, err := svc.Propose(context.Background(), model.Value(100*(i+1)+k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs = append(futs, fut)
+		}
+	}
+	// drive runs fn on its own goroutine while the test goroutine drives
+	// the virtual clock, until fn returns.
+	drive := func(what string, fn func()) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		if !vc.Run(done) {
+			t.Fatalf("%s wedged at virtual %s", what, vc.Since(time.Time{}))
+		}
+	}
+	live := make(map[uint64]model.Value)
+	var decs []Decision
+	var errs []error
+	drive("proposals", func() {
+		for _, fut := range futs {
+			dec, err := fut.Wait(context.Background())
+			decs, errs = append(decs, dec), append(errs, err)
+		}
+	})
+	for i, dec := range decs {
+		if errs[i] != nil {
+			t.Fatalf("proposal %d: %v", i, errs[i])
+		}
+		if dec.Round != tol+2 {
+			t.Errorf("instance %d decided at round %d, want t+2 = %d", dec.Instance, dec.Round, tol+2)
+		}
+		if prev, ok := live[dec.Instance]; ok && prev != dec.Value {
+			t.Fatalf("instance %d resolved %d and %d", dec.Instance, prev, dec.Value)
+		}
+		live[dec.Instance] = dec.Value
+	}
+	// Close waits out every instance's flood grace, which runs on the
+	// virtual clock too.
+	drive("close", func() {
+		for _, svc := range members {
+			_ = svc.Close()
+		}
+	})
+	for _, jn := range jns {
+		if err := jn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	auditJournals(t, live, dirs...)
+}
+
+// TestPeerServiceMetrics checks that a service with one local member
+// exports the same instruments as the single-process service — the
+// rounds-per-decision price-gap series and the decision counter — and,
+// adaptive and journaled, journals a decision-trace record per launch.
+func TestPeerServiceMetrics(t *testing.T) {
+	const n = 3
+	hub, err := transport.NewHub(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	dir := t.TempDir()
+	jn, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	members := make([]*Service, n)
+	for i := range members {
+		ep, err := hub.Endpoint(model.ProcessID(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := peerOpts(nil)
+		if i == 0 {
+			opts = peerOpts(jn)
+			opts.Metrics = reg
+			opts.Adaptive = &adapt.Config{}
+		}
+		if members[i], err = NewPeer(opts, n, ep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := make(map[uint64]model.Value)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	proposeAll(t, members[0], 10, 4, live, &mu, &wg)
+	wg.Wait()
+	for _, svc := range members {
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	text := reg.Text()
+	for _, want := range []string{
+		`indulgence_rounds_per_decision_bucket{alg="A_t+2",group="0"`,
+		`indulgence_decisions_total{group="0"}`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("registry lacks %s:\n%s", want, text)
+		}
+	}
+	traces := 0
+	if _, err := journal.Replay(dir, func(e journal.Entry) error {
+		if e.Trace != nil {
+			traces++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if traces == 0 {
+		t.Fatal("adaptive journaled member wrote no decision-trace records")
 	}
 }

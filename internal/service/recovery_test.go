@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,6 +238,13 @@ func (cb *crashBattery) runLifetime(kill bool) bool {
 		t.Fatalf("start service: %v", err)
 	}
 	svcBox.Store(svc)
+	// A kill that fired before the store found no service to abort; it
+	// must not leave this one running as a zombie that steals its
+	// successor's frames.
+	if killFired.Load() {
+		svc.Abort()
+	}
+	deadline := time.Now().Add(lifetimeLimit)
 
 	const perLifetime = 12
 	vals := make(chan model.Value, perLifetime)
@@ -273,7 +281,7 @@ func (cb *crashBattery) runLifetime(kill bool) bool {
 			}
 		}()
 	}
-	wg.Wait()
+	waitOrDump(t, "lifetime clients", deadline, wg.Wait)
 
 	if timer != nil {
 		timer.Stop()
@@ -285,9 +293,11 @@ func (cb *crashBattery) runLifetime(kill bool) bool {
 	killOnce.Do(func() { graceful = true; close(killDone) })
 	<-killDone
 	if graceful {
-		if err := svc.Close(); err != nil {
-			t.Fatalf("close service: %v", err)
-		}
+		waitOrDump(t, "service close", deadline, func() {
+			if err := svc.Close(); err != nil {
+				t.Errorf("close service: %v", err)
+			}
+		})
 	}
 	if st := svc.Snapshot(); len(st.Violations) != 0 {
 		t.Fatalf("check violations in lifetime: %v", st.Violations)
@@ -296,6 +306,29 @@ func (cb *crashBattery) runLifetime(kill bool) bool {
 		t.Fatalf("close journal: %v", err)
 	}
 	return killFired.Load()
+}
+
+// lifetimeLimit is one battery lifetime's wall-clock budget. A healthy
+// lifetime takes milliseconds; one that hangs fails here with every
+// goroutine's stack instead of waiting out the 30s instance timeout.
+const lifetimeLimit = 10 * time.Second
+
+// waitOrDump runs wait and fails the test with a goroutine dump if it
+// has not returned by deadline.
+func waitOrDump(t *testing.T, what string, deadline time.Time, wait func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Until(deadline)):
+		buf := make([]byte, 1<<20)
+		buf = buf[:goruntime.Stack(buf, true)]
+		t.Fatalf("%s still waiting after %s; goroutines:\n%s", what, lifetimeLimit, buf)
+	}
 }
 
 // finish cross-checks the scenario's journal against everything clients

@@ -24,6 +24,20 @@
 // the highest journaled instance, so the paper's per-decision price is
 // paid once per decision, not once per process lifetime.
 //
+// The service's local members are the endpoints (or muxes) handed to its
+// constructor. With all N of them local it is the single-process service
+// described above. With a subset — typically one, in a deployment that
+// runs one `indulgence serve -peers` per OS process — the other members
+// run elsewhere and are reached through the transport: instance IDs
+// become slots shared cluster-wide, a member joins a slot when the mux
+// reports inbound frames for one it has not opened (proposing NoopValue
+// when nothing is queued locally), local futures resolve at the local
+// decision, and a decided instance keeps flooding DECIDE for a grace
+// period so slower peers still decide. The live check.Instance audit
+// needs every member's proposal and decision, so it runs only when all
+// members are local; check.Replay over the members' journals is the
+// cross-member audit.
+//
 // This is where the paper's "price of indulgence" becomes a service-level
 // quantity: decisions per second and per-proposal latency under injected
 // asynchrony, with the t+2 round floor visible as the latency baseline of
@@ -34,6 +48,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -79,6 +94,13 @@ type Config struct {
 	// InstanceTimeout is the per-instance deadline (default 30s). An
 	// instance that misses it fails its batch's futures.
 	InstanceTimeout time.Duration
+	// JoinTimeout is the deadline of a slot joined on a peer's signal
+	// with no local proposals aboard (default 10s; only a service with
+	// remote members joins). Such a slot carries no futures, so a join
+	// that never decides — stale flood traffic from before a restart, or
+	// a cluster that lost too many members — fails quietly after this
+	// long instead of holding an instance slot for InstanceTimeout.
+	JoinTimeout time.Duration
 	// Journal, when non-nil, makes decisions durable: every instance's
 	// decision record is appended and fsynced (group-committed across
 	// concurrent instances) before the batch's futures resolve —
@@ -93,7 +115,9 @@ type Config struct {
 	// proposals with adapt.ErrOverload, and — with SelectAlgorithms —
 	// every instance runs the algorithm the selector currently trusts,
 	// its choice journaled in the instance's start claim. The intake
-	// buffer is sized to the controller's batch ceiling.
+	// buffer is sized to the controller's batch ceiling. A service with
+	// remote members rejects SelectAlgorithms: one member cannot switch
+	// the protocol of a slot it shares with its peers.
 	Adaptive *adapt.Config
 	// OnInstance, when non-nil, is invoked on the instance goroutine
 	// after the instance's cluster is assembled and immediately before
@@ -133,8 +157,23 @@ type Config struct {
 	Groups int
 }
 
+// NoopValue is what a local member proposes in a slot it joined with
+// nothing queued: MaxInt64, the identity of the min-based estimate
+// adoption the paper's algorithms use, so a noop loses to every real
+// proposal and wins only a slot in which every proposer proposed one.
+const NoopValue = model.Value(math.MaxInt64)
+
+// floodGraceTimeouts is how many base suspicion timeouts a decided
+// instance with remote members keeps flooding DECIDE before it retires,
+// so peers whose nodes are a round or two behind still satisfy their
+// wait policies.
+const floodGraceTimeouts = 6
+
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (cfg Config) withDefaults() Config {
+	if cfg.BaseTimeout == 0 {
+		cfg.BaseTimeout = 25 * time.Millisecond
+	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 8
 	}
@@ -146,6 +185,9 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.InstanceTimeout == 0 {
 		cfg.InstanceTimeout = 30 * time.Second
+	}
+	if cfg.JoinTimeout == 0 {
+		cfg.JoinTimeout = 10 * time.Second
 	}
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
@@ -211,15 +253,16 @@ type Stats struct {
 	// Instances counts decided instances; InstanceFailures counts
 	// instances that timed out or errored without a decision.
 	Instances, InstanceFailures int
-	// JoinedInstances counts instances this process adopted on a peer's
-	// signal rather than initiating (multi-process members only; always
-	// 0 for the single-process service).
+	// JoinedInstances counts instances this service adopted on a peer's
+	// signal rather than initiating (always 0 when every member is
+	// local).
 	JoinedInstances int
 	// Violations lists every consensus-property violation detected by
 	// check.Instance over resolved instances — validity, agreement, and
 	// termination (a correct process undecided at instance end, e.g. on
 	// an instance timeout). The paper's theorems say the safety entries
-	// stay empty; the service checks anyway.
+	// stay empty; the service checks anyway. Only a service whose members
+	// are all local audits live (see check.Replay for the rest).
 	Violations []string
 	// Latency summarizes per-proposal latency (enqueue to resolution)
 	// over a bounded uniform sample of the service's lifetime (the
@@ -265,8 +308,13 @@ type Stats struct {
 
 // Service multiplexes consensus instances over one live cluster.
 type Service struct {
-	cfg   Config
-	muxes []*transport.Mux
+	cfg Config
+	// muxes holds one mux per local member, in ascending member order;
+	// local is their member set and remote reports that some member
+	// runs elsewhere.
+	muxes  []*transport.Mux
+	local  model.PIDSet
+	remote bool
 	// ownsMuxes reports whether Close/Abort shut the muxes down: true
 	// when New built them, false when a shard runtime shares one set of
 	// muxes across many group services (NewOnMuxes).
@@ -282,6 +330,7 @@ type Service struct {
 	plane  *adapt.Plane
 
 	intake      chan *pending
+	joins       chan uint64
 	slots       chan struct{}
 	runCtx      context.Context
 	runCancel   context.CancelFunc
@@ -292,6 +341,12 @@ type Service struct {
 	// send so Close never closes the channel under a sender.
 	mu     sync.RWMutex
 	closed bool
+
+	// activeMu guards active, the instances currently running locally
+	// (tracked only with remote members): join signals are deduped
+	// against it.
+	activeMu sync.Mutex
+	active   map[uint64]struct{}
 
 	// nextInstance and claimedThrough are touched only by the batcher
 	// goroutine. nextInstance starts at the journal's recovered
@@ -309,6 +364,7 @@ type Service struct {
 	resolved     int
 	failed       int
 	instances    int
+	joined       int
 	instanceFail int
 	overloads    int
 	violations   []string
@@ -349,64 +405,107 @@ type Service struct {
 // while the percentiles stay unbiased over the whole lifetime.
 const maxSamples = 1 << 16
 
-// New starts a service over one transport endpoint per process
-// (endpoints[i] must answer Self() == i+1). The service wraps each
+// New starts a service over the endpoints of its local members: all N
+// of them (endpoints[i] answering Self() == i+1) for the single-process
+// service, or any non-empty subset in ascending Self() order for a
+// service whose other members run elsewhere. The service wraps each
 // endpoint in a transport.Mux and owns all reads from it; the endpoints
 // themselves remain owned by the caller and are not closed by Close.
 func New(cfg Config, endpoints []transport.Transport) (*Service, error) {
-	cfg = cfg.withDefaults()
-	if cfg.N >= 2 && len(endpoints) != cfg.N {
-		return nil, fmt.Errorf("service: need %d endpoints, got %d", cfg.N, len(endpoints))
-	}
+	selves := make([]model.ProcessID, len(endpoints))
 	for i, ep := range endpoints {
-		if ep.Self() != model.ProcessID(i+1) {
-			return nil, fmt.Errorf("service: endpoint %d answers Self()=%d", i+1, ep.Self())
+		if ep == nil {
+			return nil, fmt.Errorf("service: endpoint %d is nil", i+1)
 		}
+		selves[i] = ep.Self()
 	}
-	muxes := make([]*transport.Mux, len(endpoints))
-	for i, ep := range endpoints {
-		muxes[i] = transport.NewMux(ep)
-	}
-	s, err := newService(cfg, muxes, true)
+	s, err := newService(cfg, selves)
 	if err != nil {
-		for _, m := range muxes {
-			_ = m.Close()
-		}
 		return nil, err
 	}
+	// With a remote member the mux's pending signal is the join signal:
+	// a peer started a slot this service has not opened yet.
+	var onPending func(group, instance uint64)
+	if s.remote {
+		onPending = func(group, instance uint64) {
+			if group == s.cfg.Group {
+				s.Join(instance)
+			}
+		}
+	}
+	s.muxes = make([]*transport.Mux, len(endpoints))
+	for i, ep := range endpoints {
+		s.muxes[i] = transport.NewMuxGroupNotify(ep, onPending)
+	}
+	s.ownsMuxes = true
+	s.start()
 	return s, nil
 }
 
-// NewOnMuxes starts a service over already-built muxes — the sharded
-// runtime's constructor, where many group services (each with its own
-// cfg.Group) multiplex over one set of muxes per member process. The
-// muxes stay owned by the caller: Close and Abort leave them open, and
-// the service confines itself to its group's streams (OpenGroup /
-// RetireGroup under cfg.Group), so sibling groups never observe it.
+// NewOnMuxes starts a service over already-built muxes, one per local
+// member under the same ordering rules as New — the sharded runtime's
+// constructor, where many group services (each with its own cfg.Group)
+// multiplex over one set of muxes per member process. The muxes stay
+// owned by the caller: Close and Abort leave them open, and the service
+// confines itself to its group's streams (OpenGroup / RetireGroup under
+// cfg.Group), so sibling groups never observe it. Join signals are the
+// caller's to deliver: whoever owns the muxes' pending callback routes
+// each (group, instance) signal to the owning service's Join.
 func NewOnMuxes(cfg Config, muxes []*transport.Mux) (*Service, error) {
-	cfg = cfg.withDefaults()
-	if cfg.N >= 2 && len(muxes) != cfg.N {
-		return nil, fmt.Errorf("service: need %d muxes, got %d", cfg.N, len(muxes))
-	}
+	selves := make([]model.ProcessID, len(muxes))
 	for i, m := range muxes {
-		if m.Self() != model.ProcessID(i+1) {
-			return nil, fmt.Errorf("service: mux %d answers Self()=%d", i+1, m.Self())
-		}
+		selves[i] = m.Self()
 	}
-	return newService(cfg, muxes, false)
+	s, err := newService(cfg, selves)
+	if err != nil {
+		return nil, err
+	}
+	s.muxes = muxes
+	s.start()
+	return s, nil
 }
 
-// newService is the shared constructor behind New and NewOnMuxes; cfg
-// already has defaults applied and muxes are validated.
-func newService(cfg Config, muxes []*transport.Mux, ownsMuxes bool) (*Service, error) {
+// PeerOptions and PeerService name the one-local-member shape of Config
+// and Service.
+type (
+	PeerOptions = Config
+	PeerService = Service
+)
+
+// NewPeer starts a service whose only local member is ep: one member of
+// an n-process cluster whose other members run in other OS processes.
+func NewPeer(cfg PeerOptions, n int, ep transport.Transport) (*PeerService, error) {
+	cfg.N = n
+	return New(cfg, []transport.Transport{ep})
+}
+
+// newService validates cfg and the local members' IDs and builds
+// everything but the muxes, which New and NewOnMuxes attach before
+// calling start.
+func newService(cfg Config, selves []model.ProcessID) (*Service, error) {
+	cfg = cfg.withDefaults()
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("service: need at least 2 processes, got %d", cfg.N)
 	}
+	if len(selves) == 0 {
+		return nil, errors.New("service: no local member")
+	}
+	var local model.PIDSet
+	for i, id := range selves {
+		if id < 1 || int(id) > cfg.N || (i > 0 && id <= selves[i-1]) {
+			return nil, fmt.Errorf("service: local member %d answers Self()=%d (want distinct IDs in 1..%d, ascending)", i+1, id, cfg.N)
+		}
+		local.Add(id)
+	}
+	remote := local.Len() < cfg.N
 	if cfg.Factory == nil {
 		return nil, errors.New("service: nil factory")
 	}
 	if cfg.Groups < 1 || cfg.Group >= uint64(cfg.Groups) {
 		return nil, fmt.Errorf("service: group %d out of range for %d groups", cfg.Group, cfg.Groups)
+	}
+	if remote && cfg.Adaptive != nil && cfg.Adaptive.SelectAlgorithms {
+		return nil, errors.New("service: a service with remote members cannot select algorithms per instance (the protocol of a shared slot is cluster-wide)")
 	}
 	static := adapt.Choice{
 		Name:       adapt.ProbeName(cfg.Factory, cfg.N, cfg.T),
@@ -439,22 +538,33 @@ func newService(cfg Config, muxes []*transport.Mux, ownsMuxes bool) (*Service, e
 			ceiling = c
 		}
 	}
+	// Reservoir seeds: the all-local service seeds by group; with remote
+	// members the lowest local member is folded in, so single-member
+	// services sharing one OS process draw distinct streams.
+	seed := cfg.Group
+	if remote {
+		seed = seed<<8 | uint64(selves[0])
+	}
 	s := &Service{
 		cfg:         cfg,
-		muxes:       muxes,
-		ownsMuxes:   ownsMuxes,
+		local:       local,
+		remote:      remote,
 		stride:      uint64(cfg.Groups),
 		static:      static,
 		plane:       plane,
 		intake:      make(chan *pending, ceiling*cfg.MaxInflight),
 		slots:       make(chan struct{}, cfg.MaxInflight),
 		batcherDone: make(chan struct{}),
-		latencies:   stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|0),
-		rounds:      stats.NewReservoirSeeded[int](maxSamples, uint64(cfg.Group)<<3|1),
-		instLat:     stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|2),
-		roundLat:    stats.NewReservoirSeeded[time.Duration](maxSamples, uint64(cfg.Group)<<3|3),
-		fills:       stats.NewReservoirSeeded[int](maxSamples, uint64(cfg.Group)<<3|4),
+		latencies:   stats.NewReservoirSeeded[time.Duration](maxSamples, seed<<3|0),
+		rounds:      stats.NewReservoirSeeded[int](maxSamples, seed<<3|1),
+		instLat:     stats.NewReservoirSeeded[time.Duration](maxSamples, seed<<3|2),
+		roundLat:    stats.NewReservoirSeeded[time.Duration](maxSamples, seed<<3|3),
+		fills:       stats.NewReservoirSeeded[int](maxSamples, seed<<3|4),
 		algs:        make(map[string]int),
+	}
+	if remote {
+		s.joins = make(chan uint64, 256)
+		s.active = make(map[uint64]struct{})
 	}
 	reg := cfg.Metrics
 	s.reg = reg
@@ -476,46 +586,64 @@ func newService(cfg Config, muxes []*transport.Mux, ownsMuxes bool) (*Service, e
 		"proposal latency, enqueue to resolution, in nanoseconds", 1<<12, 1<<34, labels...)
 	s.mDecLat = reg.Histogram("indulgence_decision_latency_ns",
 		"instance latency, batch cut to decision, in nanoseconds", 1<<12, 1<<34, labels...)
-	if reg != nil && ownsMuxes {
+	return s, nil
+}
+
+// start finishes construction once the muxes are attached: frame
+// counters, journal recovery, then the batcher and control loop.
+func (s *Service) start() {
+	if s.reg != nil && s.ownsMuxes {
 		// A service that owns its muxes owns all their traffic, so the
 		// frame counters carry its group label; shared muxes (NewOnMuxes)
 		// are instrumented by their owner instead.
-		fin := reg.Counter("indulgence_frames_in_total",
-			"well-formed inbound frames routed or buffered by the mux", labels...)
-		fout := reg.Counter("indulgence_frames_out_total",
-			"frames sent through the mux's virtual endpoints", labels...)
-		for _, m := range muxes {
+		fin := s.reg.Counter("indulgence_frames_in_total",
+			"well-formed inbound frames routed or buffered by the mux", s.metricsLabels...)
+		fout := s.reg.Counter("indulgence_frames_out_total",
+			"frames sent through the mux's virtual endpoints", s.metricsLabels...)
+		for _, m := range s.muxes {
 			m.Instrument(fin, fout)
 		}
 	}
 	// The first instance of group g is g itself; every later one adds
 	// the stride, so the assigned IDs are exactly {g, g+G, g+2G, …}.
-	s.nextInstance = cfg.Group
+	s.nextInstance = s.cfg.Group
 	s.claimedThrough = s.nextInstance
-	if cfg.Journal != nil {
+	if s.cfg.Journal != nil {
 		// Recovery: resume the instance-ID frontier past every journaled
 		// start claim and decision — aligned up to the group's residue
 		// class — and bulk-retire the journaled range of this group's
 		// streams on every mux, so stale flood frames from a previous
 		// process lifetime are dropped instead of buffering for instances
-		// nobody will open.
-		s.nextInstance = alignInstance(cfg.Journal.Frontier(), cfg.Group, s.stride)
+		// nobody will open. A member with remote peers must never re-run
+		// a slot its previous lifetime touched: rejoining one with reset
+		// algorithm state would be amnesia, not a crash-stop.
+		s.nextInstance = alignInstance(s.cfg.Journal.Frontier(), s.cfg.Group, s.stride)
 		s.claimedThrough = s.nextInstance
 		for _, m := range s.muxes {
-			m.RetireGroupBelow(cfg.Group, s.nextInstance)
+			m.RetireGroupBelow(s.cfg.Group, s.nextInstance)
 		}
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	go s.batcher()
 	if s.plane != nil {
-		go controlLoop(s.runCtx, cfg.Clock, s.plane, s.intake, s.slots)
+		go controlLoop(s.runCtx, s.cfg.Clock, s.plane, s.intake, s.slots)
 	}
-	return s, nil
+}
+
+// Join signals that inbound frames exist for slot and this service
+// should adopt it. It never blocks — callable straight from a mux router
+// goroutine; a dropped signal re-fires on the slot's next inbound frame.
+// Slots outside the service's group are dropped by the batcher, and so
+// are all signals to a service whose members are all local.
+func (s *Service) Join(slot uint64) {
+	select {
+	case s.joins <- slot:
+	default:
+	}
 }
 
 // controlLoop ticks a control plane at its interval with the live
-// queue/slot occupancy until the service's run context ends. Both
-// service shapes share it.
+// queue/slot occupancy until the service's run context ends.
 func controlLoop(ctx context.Context, clk clock.Clock, plane *adapt.Plane, intake chan *pending, slots chan struct{}) {
 	t := clk.NewTicker(plane.Interval())
 	defer t.Stop()
@@ -599,8 +727,9 @@ func (s *Service) ProposeClass(ctx context.Context, class int, v model.Value) (*
 }
 
 // Close stops intake, flushes the pending batch, waits for every inflight
-// instance to resolve, and shuts the muxes down. Endpoints passed to New
-// stay open. Close is idempotent.
+// instance to resolve (with remote members, through its flood grace),
+// and shuts the muxes down. Endpoints passed to New stay open. Close is
+// idempotent.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -701,6 +830,7 @@ func (s *Service) Snapshot() Stats {
 		Resolved:         s.resolved,
 		Failed:           s.failed,
 		Instances:        s.instances,
+		JoinedInstances:  s.joined,
 		InstanceFailures: s.instanceFail,
 		Overloads:        s.overloads,
 		OverloadsByClass: overloadsBy,
@@ -753,8 +883,8 @@ func (s *Service) roundsHist(alg string) *metrics.Histogram {
 }
 
 // recordCut accounts one dispatched batch's fill with both sinks
-// (Stats.BatchFill and the control plane's window) — the one piece of
-// accounting both service shapes must keep identical.
+// (Stats.BatchFill and the control plane's window), whether the batch
+// launched on a fresh instance or rode a joined slot.
 func (s *Service) recordCut(n int) {
 	fill := cutFill(n, s.batchLimit())
 	s.countMu.Lock()
@@ -768,8 +898,10 @@ func (s *Service) recordCut(n int) {
 // batcher cuts the intake stream into batches: a batch closes when it
 // reaches the effective batch limit or its oldest proposal has waited
 // the effective linger (both live values of the control plane when one
-// is attached). Each batch then claims an instance slot (blocking — the
-// bounded-shard backpressure) and launches its instance.
+// is attached). Each batch then launches on the next free instance ID.
+// With remote members the batcher also serves join signals: a joined
+// slot pushes the ID counter past it, which keeps every member's
+// counter roughly in step with the cluster's.
 func (s *Service) batcher() {
 	defer close(s.batcherDone)
 	var (
@@ -791,84 +923,9 @@ func (s *Service) batcher() {
 		b := batch
 		batch = nil
 		s.recordCut(len(b))
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.runCtx.Done():
-			failBatch(b, s.runCtx.Err())
-			return
-		}
 		instance := s.nextInstance
 		s.nextInstance += s.stride
-		choice := s.static
-		var cctx adapt.ChoiceContext
-		if s.plane != nil {
-			// One lock acquisition yields both the pick and the control-
-			// plane context behind it, so the decision-trace record below
-			// can never disagree with the choice it annotates.
-			choice, cctx = s.plane.PickContext()
-		}
-		if s.cfg.Journal != nil {
-			// Claim instance IDs before any of their frames can reach
-			// the network: the recovered frontier must cover
-			// crash-undecided instances too, or their in-flight frames
-			// could leak into a successor service's instance of the
-			// same ID. The static path claims MaxInflight-sized blocks
-			// with one written (not fsynced — see journal.AppendStart)
-			// record; with algorithm selection every instance claims
-			// individually so its chosen algorithm is on record before
-			// the choice can act, keeping check.Replay's cross-restart
-			// algorithm audit exact.
-			switch {
-			case s.plane != nil && s.plane.Selecting():
-				rec := wire.StartRecord{Instance: instance, Alg: choice.Name, Group: s.cfg.Group}
-				if err := s.cfg.Journal.AppendStartRecord(rec); err != nil {
-					<-s.slots
-					failBatch(b, fmt.Errorf("service: claim instance %d: %w", instance, err))
-					return
-				}
-				if instance >= s.claimedThrough {
-					s.claimedThrough = instance + s.stride
-				}
-			case instance >= s.claimedThrough:
-				through, err := claimBlock(s.cfg.Journal, instance, s.cfg.MaxInflight, s.static.Name, s.cfg.Group, s.stride)
-				if err != nil {
-					<-s.slots
-					failBatch(b, err)
-					return
-				}
-				s.claimedThrough = through
-			}
-			if s.plane != nil {
-				// Decision-trace record: the controller/selector/admission
-				// context behind this launch, journaled after the start
-				// claim and before any of the instance's frames can reach
-				// the network, so replay can audit why each rung was
-				// chosen. Same durability class as start claims (written,
-				// not fsynced).
-				trace := wire.DecisionTraceRecord{
-					Instance:    instance,
-					Group:       s.cfg.Group,
-					Level:       cctx.Level,
-					Chosen:      cctx.Chosen,
-					NotTaken:    cctx.NotTaken,
-					Suspicions:  uint64(cctx.Suspicions),
-					QueueLen:    uint64(len(s.intake)),
-					QueueCap:    uint64(cap(s.intake)),
-					BatchFill:   cutFill(len(b), cctx.BatchLimit),
-					BatchLimit:  cctx.BatchLimit,
-					LingerNanos: int64(cctx.Linger),
-					EWMANanos:   int64(cctx.EWMA),
-					ShedMask:    uint64(cctx.ShedMask),
-				}
-				if err := s.cfg.Journal.AppendDecisionTrace(trace); err != nil {
-					<-s.slots
-					failBatch(b, fmt.Errorf("service: trace instance %d: %w", instance, err))
-					return
-				}
-			}
-		}
-		s.wg.Add(1)
-		go s.runInstance(instance, b, choice)
+		s.launch(instance, b, false)
 	}
 	for {
 		select {
@@ -893,8 +950,135 @@ func (s *Service) batcher() {
 			if closed {
 				return
 			}
+		case slot := <-s.joins:
+			if slot%s.stride != s.cfg.Group || s.isActive(slot) {
+				continue // another group's slot, or already running here
+			}
+			if s.cfg.Journal != nil {
+				if _, done := s.cfg.Journal.Get(slot); done {
+					continue // decided in this lifetime; retire race
+				}
+			}
+			// A lingering local batch rides the joined slot instead of
+			// waiting for its own: the join must propose something
+			// anyway, and a real proposal beats a noop. Only fresh
+			// slots (never seen before, so never retired locally) may
+			// carry it — a stale duplicate signal for a slot that
+			// already ran must not drag real proposals into an open
+			// failure.
+			var b []*pending
+			if slot >= s.nextInstance {
+				s.nextInstance = slot + s.stride
+				stopLinger()
+				b, batch = batch, nil
+			}
+			if len(b) > 0 {
+				// The ride is a batch cut like any other: the fill
+				// signal must see it or a mostly-joining member's
+				// controller runs blind.
+				s.recordCut(len(b))
+			}
+			s.launch(slot, b, true)
 		}
 	}
+}
+
+// launch claims an instance slot (blocking — the bounded-shard
+// backpressure), picks the instance's algorithm, journals its claims and
+// decision trace when needed, and starts its local run. A joined slot
+// may carry an empty batch.
+func (s *Service) launch(instance uint64, batch []*pending, joined bool) {
+	select {
+	case s.slots <- struct{}{}:
+	case <-s.runCtx.Done():
+		failBatch(batch, s.runCtx.Err())
+		return
+	}
+	choice := s.static
+	var cctx adapt.ChoiceContext
+	if s.plane != nil {
+		// One lock acquisition yields both the pick and the control-
+		// plane context behind it, so the decision-trace record below
+		// can never disagree with the choice it annotates.
+		choice, cctx = s.plane.PickContext()
+	}
+	if s.cfg.Journal != nil {
+		if err := s.journalLaunch(instance, len(batch), choice, cctx); err != nil {
+			<-s.slots
+			failBatch(batch, err)
+			return
+		}
+	}
+	if s.remote {
+		s.activeMu.Lock()
+		s.active[instance] = struct{}{}
+		s.activeMu.Unlock()
+	}
+	s.wg.Add(1)
+	go s.runInstance(instance, batch, choice, joined)
+}
+
+// journalLaunch journals what must be on record before any of an
+// instance's frames can reach the network: its ID claim — the recovered
+// frontier must cover crash-undecided and joined instances too, or
+// their in-flight frames could leak into a successor service's instance
+// of the same ID — and, with a control plane, its decision trace. The
+// static path claims MaxInflight-sized blocks with one written (not
+// fsynced — see journal.AppendStart) record; with algorithm selection
+// every instance claims individually so its chosen algorithm is on
+// record before the choice can act, keeping check.Replay's
+// cross-restart algorithm audit exact.
+func (s *Service) journalLaunch(instance uint64, size int, choice adapt.Choice, cctx adapt.ChoiceContext) error {
+	switch {
+	case s.plane != nil && s.plane.Selecting():
+		rec := wire.StartRecord{Instance: instance, Alg: choice.Name, Group: s.cfg.Group}
+		if err := s.cfg.Journal.AppendStartRecord(rec); err != nil {
+			return fmt.Errorf("service: claim instance %d: %w", instance, err)
+		}
+		if instance >= s.claimedThrough {
+			s.claimedThrough = instance + s.stride
+		}
+	case instance >= s.claimedThrough:
+		through, err := claimBlock(s.cfg.Journal, instance, s.cfg.MaxInflight, s.static.Name, s.cfg.Group, s.stride)
+		if err != nil {
+			return err
+		}
+		s.claimedThrough = through
+	}
+	if s.plane == nil {
+		return nil
+	}
+	// Decision-trace record: the controller/selector/admission context
+	// behind this launch, journaled after the start claim, so replay can
+	// audit why each rung was chosen. Same durability class as start
+	// claims (written, not fsynced).
+	trace := wire.DecisionTraceRecord{
+		Instance:    instance,
+		Group:       s.cfg.Group,
+		Level:       cctx.Level,
+		Chosen:      cctx.Chosen,
+		NotTaken:    cctx.NotTaken,
+		Suspicions:  uint64(cctx.Suspicions),
+		QueueLen:    uint64(len(s.intake)),
+		QueueCap:    uint64(cap(s.intake)),
+		BatchFill:   cutFill(size, cctx.BatchLimit),
+		BatchLimit:  cctx.BatchLimit,
+		LingerNanos: int64(cctx.Linger),
+		EWMANanos:   int64(cctx.EWMA),
+		ShedMask:    uint64(cctx.ShedMask),
+	}
+	if err := s.cfg.Journal.AppendDecisionTrace(trace); err != nil {
+		return fmt.Errorf("service: trace instance %d: %w", instance, err)
+	}
+	return nil
+}
+
+// isActive reports whether the instance is currently running locally.
+func (s *Service) isActive(instance uint64) bool {
+	s.activeMu.Lock()
+	defer s.activeMu.Unlock()
+	_, ok := s.active[instance]
+	return ok
 }
 
 // failBatch resolves every future of a batch with err.
@@ -917,10 +1101,10 @@ func cutFill(n, limit int) int {
 
 // drainIntake appends the immediately available proposals to batch, up
 // to limit, without blocking; closed reports that intake was closed and
-// fully drained (the caller flushes and exits). Both batchers run it
+// fully drained (the caller flushes and exits). The batcher runs it
 // when a cut is due, so a short (or zero) linger still yields full
 // batches under load instead of racing the timer one proposal at a
-// time — and the closed-channel handling has one owner.
+// time.
 func drainIntake(intake <-chan *pending, batch []*pending, limit int) (out []*pending, closed bool) {
 	for len(batch) < limit {
 		select {
@@ -942,9 +1126,7 @@ func drainIntake(intake <-chan *pending, batch []*pending, limit int) (out []*pe
 // stride*(inflight-1) — returning the new claimed-through frontier
 // (first group ID not covered). alg tags the claim with the statically
 // configured algorithm every instance of the block runs (adaptive
-// selection claims per instance instead — see the batcher). Both
-// batchers share it so the claim arithmetic — which restart recovery
-// depends on — has one owner.
+// selection claims per instance instead — see journalLaunch).
 func claimBlock(j *journal.Journal, instance uint64, inflight int, alg string, group, stride uint64) (uint64, error) {
 	claim := instance + stride*(uint64(inflight)-1)
 	if err := j.AppendStartRecord(wire.StartRecord{Instance: claim, Alg: alg, Group: group}); err != nil {

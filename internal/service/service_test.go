@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"indulgence/internal/adapt"
 	"indulgence/internal/core"
 	"indulgence/internal/model"
 	"indulgence/internal/service"
@@ -318,8 +319,20 @@ func TestServiceConfigErrors(t *testing.T) {
 	if _, err := service.New(service.Config{N: 4, T: 1}, eps); err == nil {
 		t.Fatal("nil factory accepted")
 	}
-	if _, err := service.New(service.Config{N: 4, T: 1, Factory: core.New(core.Options{})}, eps[:2]); err == nil {
-		t.Fatal("short endpoint slice accepted")
+	// Any non-empty ascending subset of the members may be local; none,
+	// or one member twice, is not.
+	if _, err := service.New(service.Config{N: 4, T: 1, Factory: core.New(core.Options{})}, eps[:0]); err == nil {
+		t.Fatal("empty endpoint slice accepted")
+	}
+	if _, err := service.New(service.Config{N: 4, T: 1, Factory: core.New(core.Options{})},
+		[]transport.Transport{eps[0], eps[0]}); err == nil {
+		t.Fatal("duplicate endpoints accepted")
+	}
+	// A service with a remote member cannot switch a shared slot's
+	// protocol on its own.
+	if _, err := service.New(service.Config{N: 4, T: 1, Factory: core.New(core.Options{}),
+		Adaptive: &adapt.Config{SelectAlgorithms: true}}, eps[:2]); err == nil {
+		t.Fatal("algorithm selection accepted with remote members")
 	}
 	if _, err := service.New(service.Config{N: 2, T: 0, Factory: core.New(core.Options{})},
 		[]transport.Transport{eps[1], eps[0]}); err == nil {

@@ -24,8 +24,7 @@ import (
 )
 
 // Group is the load view a placement policy sees of one consensus
-// group. Both service shapes satisfy it (service.Service and
-// service.PeerService).
+// group; service.Service satisfies it.
 type Group interface {
 	// Group returns the group's consensus group number.
 	Group() uint64

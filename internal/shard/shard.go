@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"indulgence/internal/journal"
@@ -17,7 +18,7 @@ import (
 	"indulgence/internal/wire"
 )
 
-// Config describes a sharded single-process runtime.
+// Config describes a sharded runtime.
 type Config struct {
 	// Service is the per-group service template: every group runs a
 	// service.Service with this configuration. Its Group, Groups and
@@ -28,13 +29,16 @@ type Config struct {
 	// frames once for the whole runtime, and per-group journals register
 	// their entry counters group-labelled too.
 	Service service.Config
-	// Groups is the number of consensus groups (default 1).
+	// Groups is the number of consensus groups (default 1). Every
+	// member of a multi-process cluster must agree on it — a slot's
+	// owning group is slot mod Groups everywhere — while placement may
+	// differ per member.
 	Groups int
 	// Placement routes proposals to groups (default round-robin).
 	Placement Policy
 	// JournalDir, when non-empty, gives every group a durable journal
 	// in its own subdirectory (see GroupDir). Empty runs without
-	// durability.
+	// durability. Members of a multi-process cluster never share one.
 	JournalDir string
 	// JournalOptions configures every group's journal.
 	JournalOptions journal.Options
@@ -48,10 +52,10 @@ func GroupDir(root string, group int) string {
 	return filepath.Join(root, fmt.Sprintf("group-%04d", group))
 }
 
-// Runtime is the sharded single-process runtime: G service.Service
-// groups over one shared set of muxes, with the placement router in
-// front. It satisfies the same Propose/Snapshot/Close surface the
-// single-group service offers, so callers (the CLI's serve and
+// Runtime is the sharded runtime: G service.Service groups over one
+// shared set of muxes — one per local member — with the placement
+// router in front. It satisfies the same Propose/Snapshot/Close surface
+// the single-group service offers, so callers (the CLI's serve and
 // bench-service paths) treat one group and many uniformly.
 type Runtime struct {
 	groups   []*service.Service
@@ -61,12 +65,29 @@ type Runtime struct {
 	views    []Group
 	seq      atomic.Uint64
 	closed   atomic.Bool
+
+	// joinMu orders early join signals against construction: with a
+	// remote member the muxes start routing (and signalling) the moment
+	// they exist, before the group services do, so signals arriving in
+	// the window buffer in backlog and flush once every group is up.
+	joinMu  sync.Mutex
+	ready   bool
+	backlog [][2]uint64
 }
 
-// New starts a sharded runtime over one transport endpoint per process
-// (endpoints[i] must answer Self() == i+1). The endpoints stay owned by
-// the caller; the runtime wraps each in a group-aware mux shared by all
-// its groups and owns all reads from it.
+// joinBacklog bounds the pre-ready backlog. Signals beyond it drop
+// harmlessly: a join signal re-fires on the slot's next inbound frame.
+const joinBacklog = 1024
+
+// New starts a sharded runtime over the endpoints of its local members,
+// under service.New's rules: all Service.N of them for a single-process
+// runtime, or a subset in ascending Self() order when the other members
+// run elsewhere. The endpoints stay owned by the caller; the runtime
+// wraps each in a group-aware mux shared by all its groups and owns all
+// reads from it. With a remote member the runtime owns the muxes'
+// pending callback and routes each (group, instance) join signal to the
+// group service that owns it, so a proposal entering any member reaches
+// every member's matching group.
 func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 	if cfg.Groups == 0 {
 		cfg.Groups = 1
@@ -81,16 +102,20 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 		cfg.Placement = NewRoundRobin()
 	}
 	for i, ep := range endpoints {
-		if ep.Self() != model.ProcessID(i+1) {
-			return nil, fmt.Errorf("shard: endpoint %d answers Self()=%d", i+1, ep.Self())
+		if ep == nil {
+			return nil, fmt.Errorf("shard: endpoint %d is nil", i+1)
 		}
 	}
 	r := &Runtime{
 		muxes:  make([]*transport.Mux, len(endpoints)),
 		policy: cfg.Placement,
 	}
+	var onPending func(group, instance uint64)
+	if len(endpoints) < cfg.Service.N {
+		onPending = r.dispatch
+	}
 	for i, ep := range endpoints {
-		r.muxes[i] = transport.NewMux(ep)
+		r.muxes[i] = transport.NewMuxGroupNotify(ep, onPending)
 	}
 	if reg := cfg.Service.Metrics; reg != nil {
 		// The muxes are shared by every group, so their frame counters
@@ -130,7 +155,41 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 		r.groups = append(r.groups, svc)
 		r.views = append(r.views, svc)
 	}
+	r.joinMu.Lock()
+	r.ready = true
+	backlog := r.backlog
+	r.backlog = nil
+	r.joinMu.Unlock()
+	for _, sig := range backlog {
+		r.deliver(sig[0], sig[1])
+	}
 	return r, nil
+}
+
+// dispatch is the shared muxes' pending callback: route the join signal
+// to the owning group service, or buffer it while construction is still
+// assembling the groups. Runs on a mux router goroutine — it must never
+// block, and deliver only does a non-blocking channel send.
+func (r *Runtime) dispatch(group, instance uint64) {
+	r.joinMu.Lock()
+	if !r.ready {
+		if len(r.backlog) < joinBacklog {
+			r.backlog = append(r.backlog, [2]uint64{group, instance})
+		}
+		r.joinMu.Unlock()
+		return
+	}
+	r.joinMu.Unlock()
+	r.deliver(group, instance)
+}
+
+// deliver hands one join signal to its group service. Signals for groups
+// this member does not run (a peer misconfigured with more groups) are
+// dropped — the member cannot join a group it has no service for.
+func (r *Runtime) deliver(group, instance uint64) {
+	if group < uint64(len(r.groups)) {
+		r.groups[group].Join(instance)
+	}
 }
 
 // teardown unwinds a partially constructed runtime.
@@ -205,11 +264,12 @@ func (r *Runtime) Lookup(instance uint64) (service.Decision, bool) {
 type Rollup struct {
 	// Groups holds each group's service snapshot, indexed by group ID.
 	Groups []service.Stats
-	// Proposals, Resolved, Failed, Instances, InstanceFailures and
-	// Overloads are the sums of the per-group counters.
+	// Proposals, Resolved, Failed, Instances, JoinedInstances,
+	// InstanceFailures and Overloads are the sums of the per-group
+	// counters.
 	Proposals, Resolved, Failed int
-	Instances, InstanceFailures int
-	Overloads                   int
+	Instances, JoinedInstances  int
+	InstanceFailures, Overloads int
 	// OverloadsByClass and ResolvedByClass are the per-SLO-class sums
 	// across groups, indexed by class and sized to the highest class any
 	// group saw (nil when every group ran classless).
@@ -222,26 +282,15 @@ type Rollup struct {
 
 // Snapshot returns the cross-group rollup.
 func (r *Runtime) Snapshot() Rollup {
-	views := make([]groupStats, len(r.groups))
-	for i, svc := range r.groups {
-		views[i] = svc
-	}
-	return rollup(views)
-}
-
-// groupStats is the snapshot surface both service shapes share.
-type groupStats interface{ Snapshot() service.Stats }
-
-// rollup aggregates per-group snapshots; both runtime shapes share it.
-func rollup(groups []groupStats) Rollup {
 	var out Rollup
-	for g, svc := range groups {
+	for g, svc := range r.groups {
 		st := svc.Snapshot()
 		out.Groups = append(out.Groups, st)
 		out.Proposals += st.Proposals
 		out.Resolved += st.Resolved
 		out.Failed += st.Failed
 		out.Instances += st.Instances
+		out.JoinedInstances += st.JoinedInstances
 		out.InstanceFailures += st.InstanceFailures
 		out.Overloads += st.Overloads
 		out.OverloadsByClass = addByClass(out.OverloadsByClass, st.OverloadsByClass)

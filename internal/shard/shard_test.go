@@ -2,6 +2,8 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -198,62 +200,123 @@ func TestReplayDirFlagsCrossGroupInstance(t *testing.T) {
 }
 
 // TestPeerRuntimeMultiGroup runs a 3-member sharded cluster in one
-// process over a shared hub: proposals enter different members under
-// key-affinity placement, every member's matching group joins, and all
-// members resolve each key's instances identically.
+// process over a shared hub, one runtime per member with that member as
+// its only local member and per-group journals. Proposals enter
+// different members under key-affinity placement, every member's
+// matching group joins, and all members resolve each key's instances
+// identically. Member 3 then crash-stops (Abort), restarts from its
+// journals, serves its journaled decisions via Lookup and keeps
+// deciding; check.Replay over every member's journals audits both
+// lifetimes.
 func TestPeerRuntimeMultiGroup(t *testing.T) {
 	const n, groups = 3, 2
 	eps := hubEndpoints(t, n)
-	members := make([]*shard.PeerRuntime, n)
-	for i := 0; i < n; i++ {
-		cfg := shard.PeerConfig{
-			Peer: service.PeerOptions{
-				T:           1,
-				Factory:     core.New(core.Options{}),
-				BaseTimeout: 20 * time.Millisecond,
-				Linger:      time.Millisecond,
-				FloodGrace:  50 * time.Millisecond,
-			},
-			Groups:    groups,
-			Placement: shard.NewKeyAffinity(),
-		}
-		m, err := shard.NewPeer(cfg, n, eps[i])
+	root := t.TempDir()
+	dirs := make([]string, n)
+	members := make([]*shard.Runtime, n)
+	start := func(i int) {
+		cfg := runtimeConfig(groups)
+		cfg.Placement = shard.NewKeyAffinity()
+		dirs[i] = filepath.Join(root, fmt.Sprintf("p%d", i+1))
+		cfg.JournalDir = dirs[i]
+		rt, err := shard.New(cfg, eps[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		members[i] = m
-		defer m.Close()
+		members[i] = rt
 	}
+	for i := range members {
+		start(i)
+	}
+	defer func() {
+		for _, m := range members {
+			_ = m.Close()
+		}
+	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	type tagged struct {
-		fut  *service.Future
-		from int
+	live := make(map[uint64]model.Value)
+	// propose drives 12 keyed proposals round-robin over the members and
+	// returns, per member, the instances its futures resolved to.
+	propose := func(base int) [n][]uint64 {
+		type tagged struct {
+			fut  *service.Future
+			from int
+		}
+		var futs []tagged
+		for i := 0; i < 12; i++ {
+			f, err := members[i%n].ProposeKey(ctx, uint64(i%4), model.Value(base+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs = append(futs, tagged{f, i % n})
+		}
+		var resolved [n][]uint64
+		for _, tf := range futs {
+			dec, err := tf.fut.Wait(ctx)
+			if err != nil {
+				t.Fatalf("member %d: %v", tf.from+1, err)
+			}
+			if prev, ok := live[dec.Instance]; ok && prev != dec.Value {
+				t.Fatalf("instance %d resolved %d and %d", dec.Instance, prev, dec.Value)
+			}
+			live[dec.Instance] = dec.Value
+			resolved[tf.from] = append(resolved[tf.from], dec.Instance)
+		}
+		return resolved
 	}
-	var futs []tagged
-	for i := 0; i < 12; i++ {
-		member := members[i%n]
-		f, err := member.ProposeKey(ctx, uint64(i%4), model.Value(500+i))
+
+	first := propose(500)
+	// A proposal entering member 1 alone reaches the other members only
+	// through the join signal their runtimes route to the owning group.
+	f, err := members[0].ProposeKey(ctx, 0, 700)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := f.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live[dec.Instance] = dec.Value
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if members[1].Snapshot().JoinedInstances+members[2].Snapshot().JoinedInstances > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no member joined a slot member 1 started")
+		}
+	}
+
+	// Crash member 3 and restart it from its journals: every decision it
+	// resolved is on record (journal-before-complete) and served without
+	// re-running consensus.
+	members[2].Abort()
+	start(2)
+	for _, inst := range first[2] {
+		dec, ok := members[2].Lookup(inst)
+		if !ok || dec.Value != live[inst] {
+			t.Fatalf("restarted member: Lookup(%d) = %+v, %v; want value %d", inst, dec, ok, live[inst])
+		}
+	}
+	propose(900)
+
+	for _, m := range members {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var records []wire.DecisionRecord
+	var starts []wire.StartRecord
+	for _, dir := range dirs {
+		recs, sts, err := shard.ReplayDir(dir, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
-		futs = append(futs, tagged{f, i % n})
+		records = append(records, recs...)
+		starts = append(starts, sts...)
 	}
-	resolved := make(map[uint64]model.Value)
-	for _, tf := range futs {
-		dec, err := tf.fut.Wait(ctx)
-		if err != nil {
-			t.Fatalf("member %d: %v", tf.from, err)
-		}
-		if prev, ok := resolved[dec.Instance]; ok && prev != dec.Value {
-			t.Fatalf("instance %d resolved %d and %d", dec.Instance, prev, dec.Value)
-		}
-		resolved[dec.Instance] = dec.Value
-	}
-	for _, m := range members {
-		if roll := m.Snapshot(); len(roll.Violations) != 0 {
-			t.Fatalf("member %d violations: %v", m.Self(), roll.Violations)
-		}
+	if rep := check.Replay(records, starts, live); !rep.OK() {
+		t.Fatalf("cross-member replay audit failed: %v", rep.Violations)
 	}
 }

@@ -64,32 +64,13 @@ type Mux struct {
 // ep.Recv directly.
 func NewMux(ep Transport) *Mux { return NewMuxGroupNotify(ep, nil) }
 
-// NewMuxNotify is NewMux with a pending-instance callback for group 0:
-// onPending (when non-nil) is invoked from the router goroutine every
-// time a frame arrives for a group-0 instance that is not currently
-// open locally — the signal a single-group multi-process service member
-// uses to join an instance a peer started. Frames of other groups
-// buffer without notifying. The callback must not block (it stalls
-// every instance's inbound traffic if it does) and may be invoked
-// repeatedly for the same instance while it stays unopened, so
-// receivers dedupe.
-func NewMuxNotify(ep Transport, onPending func(instance uint64)) *Mux {
-	if onPending == nil {
-		return NewMuxGroupNotify(ep, nil)
-	}
-	return NewMuxGroupNotify(ep, func(group, instance uint64) {
-		if group == 0 {
-			onPending(instance)
-		}
-	})
-}
-
-// NewMuxGroupNotify is NewMux with the group-aware pending callback:
-// onPending (when non-nil) is invoked from the router goroutine every
-// time a frame arrives for a (group, instance) stream that is not
-// currently open locally. The sharded peer runtime uses it to route
-// join signals to the owning group's service. The same non-blocking and
-// dedupe requirements as NewMuxNotify apply.
+// NewMuxGroupNotify is NewMux with a pending callback: onPending (when
+// non-nil) is invoked from the router goroutine every time a frame
+// arrives for a (group, instance) stream that is not currently open
+// locally — the signal a service with remote members uses to join an
+// instance a peer started. The callback must not block (it stalls every
+// instance's inbound traffic if it does) and may be invoked repeatedly
+// for the same stream while it stays unopened, so receivers dedupe.
 func NewMuxGroupNotify(ep Transport, onPending func(group, instance uint64)) *Mux {
 	m := &Mux{
 		ep:         ep,
@@ -147,10 +128,6 @@ func (m *Mux) OpenGroup(group, instance uint64) (Transport, error) {
 	return s, nil
 }
 
-// Retire closes a group-0 instance's virtual endpoint; it is
-// RetireGroup(0, instance).
-func (m *Mux) Retire(instance uint64) { m.RetireGroup(0, instance) }
-
 // RetireGroup closes an instance's virtual endpoint and permanently
 // drops any late frames addressed to it. Safe to call for instances
 // never opened.
@@ -175,10 +152,6 @@ func (m *Mux) RetireGroup(group, instance uint64) {
 		s.box.close()
 	}
 }
-
-// RetireBelow bulk-retires group-0 instances; it is
-// RetireGroupBelow(0, frontier).
-func (m *Mux) RetireBelow(frontier uint64) { m.RetireGroupBelow(0, frontier) }
 
 // RetireGroupBelow retires every instance of group with ID below
 // frontier at once — the recovery path's bulk retirement. A restarted

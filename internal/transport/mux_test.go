@@ -256,10 +256,10 @@ func TestMuxRetireCompaction(t *testing.T) {
 	_, m1, _ := muxPair(t)
 	// Retire 0..99 out of order in pairs: the set must fully compact.
 	for i := 1; i < 100; i += 2 {
-		m1.Retire(uint64(i))
+		m1.RetireGroup(0, uint64(i))
 	}
 	for i := 0; i < 100; i += 2 {
-		m1.Retire(uint64(i))
+		m1.RetireGroup(0, uint64(i))
 	}
 	below, setLen := retiredState(m1, 0)
 	if below != 100 || setLen != 0 {
@@ -369,7 +369,7 @@ func TestMuxNeverOpenedBufferedInstance(t *testing.T) {
 		return hasStream(m2, 9) && queuedFrames(m2, 9) >= 7
 	})
 	// Retiring the never-opened instance drops the buffer for good.
-	m2.Retire(9)
+	m2.RetireGroup(0, 9)
 	m2.mu.Lock()
 	_, still := m2.streams[streamKey{0, 9}]
 	m2.mu.Unlock()
@@ -433,7 +433,7 @@ func TestMuxRetireMidFlight(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		recvFrame(t, recv)
 	}
-	m2.Retire(4)
+	m2.RetireGroup(0, 4)
 	if err := <-sendErr; err != nil {
 		t.Fatalf("send during retirement: %v", err)
 	}
@@ -460,7 +460,7 @@ func TestMuxCompactionRandomOrder(t *testing.T) {
 	const window = 257
 	perm := rand.New(rand.NewSource(42)).Perm(window)
 	for i, p := range perm {
-		m1.Retire(uint64(p))
+		m1.RetireGroup(0, uint64(p))
 		below, setLen := retiredState(m1, 0)
 		if int(below)+setLen != i+1 {
 			t.Fatalf("after %d retirements: frontier %d + set %d != %d", i+1, below, setLen, i+1)
@@ -498,9 +498,9 @@ func TestMuxRetireBelow(t *testing.T) {
 	waitFor(t, "router to buffer the stale frame", func() bool { return hasStream(m2, 3) })
 	// An out-of-order retirement above the frontier, to be compacted
 	// through.
-	m2.Retire(5)
+	m2.RetireGroup(0, 5)
 
-	m2.RetireBelow(5)
+	m2.RetireGroupBelow(0, 5)
 
 	if _, ok := <-low.Recv(); ok {
 		t.Fatal("stream below frontier still delivering")
@@ -533,7 +533,7 @@ func TestMuxRetireBelow(t *testing.T) {
 	}
 
 	// Monotonic: lowering the frontier is a no-op.
-	m2.RetireBelow(2)
+	m2.RetireGroupBelow(0, 2)
 	below, _ = retiredState(m2, 0)
 	if below != 6 {
 		t.Fatalf("frontier regressed to %d", below)
@@ -555,7 +555,7 @@ func TestMuxPendingNotification(t *testing.T) {
 	notified := make(chan uint64, 16)
 	ma := NewMux(a)
 	defer ma.Close()
-	mb := NewMuxNotify(b, func(instance uint64) {
+	mb := NewMuxGroupNotify(b, func(_, instance uint64) {
 		select {
 		case notified <- instance:
 		default:
@@ -720,44 +720,8 @@ func TestMuxGroupNotify(t *testing.T) {
 		t.Fatal("no pending notification")
 	}
 
-	// The legacy single-ID callback must not fire for non-zero groups.
-	c, err := NewHub(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ca, _ := c.Endpoint(1)
-	cb, _ := c.Endpoint(2)
-	legacy := make(chan uint64, 16)
-	mca := NewMux(ca)
-	defer mca.Close()
-	mcb := NewMuxNotify(cb, func(instance uint64) {
-		select {
-		case legacy <- instance:
-		default:
-		}
-	})
-	defer mcb.Close()
-	sg, err := mca.OpenGroup(2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sg.Send(2, msgFrame(t, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "router to buffer the grouped frame", func() bool {
-		mcb.mu.Lock()
-		defer mcb.mu.Unlock()
-		_, ok := mcb.streams[streamKey{2, 9}]
-		return ok
-	})
-	select {
-	case got := <-legacy:
-		t.Fatalf("legacy callback fired for group 2 instance %d", got)
-	default:
-	}
-	// And it still fires for group 0.
-	s0, err := mca.Open(6)
+	// Group 0 — the compatibility group — signals like any other.
+	s0, err := ma.Open(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,12 +729,12 @@ func TestMuxGroupNotify(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case got := <-legacy:
-		if got != 6 {
-			t.Fatalf("legacy pending instance %d, want 6", got)
+	case got := <-notified:
+		if got != (pair{0, 6}) {
+			t.Fatalf("pending (%d, %d), want (0, 6)", got.group, got.instance)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("legacy callback never fired for group 0")
+		t.Fatal("no pending notification for group 0")
 	}
 }
 
