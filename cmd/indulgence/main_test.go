@@ -204,7 +204,7 @@ func TestServeShardSubcommand(t *testing.T) {
 		t.Fatalf("second sharded serve lifetime: %v", err)
 	}
 	for g := 0; g < groups; g++ {
-		if err := run([]string{"replay", "-journal", shard.GroupDir(dir, g)}); err != nil {
+		if err := run([]string{"replay", "-journal", shard.GroupDir(dir, groups, g)}); err != nil {
 			t.Fatalf("replay group %d: %v", g, err)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"indulgence/internal/check"
-	"indulgence/internal/journal"
 	"indulgence/internal/model"
 	"indulgence/internal/shard"
 	"indulgence/internal/stats"
@@ -256,9 +255,7 @@ func cmdCluster(args []string) error {
 				"-batch", fmt.Sprint(*batch), "-inflight", fmt.Sprint(*inflight),
 				"-timeout", timeout.String(), "-join-timeout", "5s",
 				"-journal", filepath.Join(base, fmt.Sprintf("p%d", id)),
-			}
-			if *groups > 1 {
-				childArgs = append(childArgs, "-groups", fmt.Sprint(*groups), "-placement", *placement)
+				"-groups", fmt.Sprint(*groups), "-placement", *placement,
 			}
 			children[i] = &clusterChild{id: id, args: childArgs}
 		}
@@ -377,36 +374,18 @@ func cmdCluster(args []string) error {
 
 	// Offline audit: the union of every member journal (both lifetimes
 	// of a restarted member share a directory) against every live
-	// observation.
+	// observation. Each member's groups merge into one stream, so
+	// check.Replay's cross-group instance audit sees the member whole.
 	var records []wire.DecisionRecord
 	var starts []wire.StartRecord
 	for i := 1; i <= *n; i++ {
 		dir := filepath.Join(base, fmt.Sprintf("p%d", i))
-		if *groups > 1 {
-			// Sharded members journal per group under dir; merge every
-			// group's stream so check.Replay's cross-group instance
-			// audit sees the member whole.
-			recs, sts, err := shard.ReplayDir(dir, *groups)
-			if err != nil {
-				return fmt.Errorf("cluster: replay %s: %w", dir, err)
-			}
-			records = append(records, recs...)
-			starts = append(starts, sts...)
-			continue
-		}
-		if _, err := journal.Replay(dir, func(e journal.Entry) error {
-			switch {
-			case e.Trace != nil:
-				// Introspection context, not part of the consensus audit.
-			case e.Start:
-				starts = append(starts, wire.StartRecord{Instance: e.Instance(), Alg: e.Alg, Group: e.Decision.Group})
-			default:
-				records = append(records, e.Decision)
-			}
-			return nil
-		}); err != nil {
+		recs, sts, err := shard.ReplayDir(dir, *groups)
+		if err != nil {
 			return fmt.Errorf("cluster: replay %s: %w", dir, err)
 		}
+		records = append(records, recs...)
+		starts = append(starts, sts...)
 	}
 	audit.mu.Lock()
 	rep := check.Replay(records, starts, audit.live)

@@ -73,9 +73,10 @@ type serviceFlags struct {
 	// registry as Prometheus text and JSON plus net/http/pprof.
 	metricsAddr *string
 
-	// Sharding (internal/shard): -groups > 1 runs G consensus groups
+	// Sharding (internal/shard): -groups G runs G consensus groups
 	// over the shared transport, each owning a strided slice of the
-	// instance-ID space, with a placement router in front.
+	// instance-ID space, with a placement router in front. The default,
+	// one group, runs on the same runtime.
 	groups    *int
 	placement *string
 
@@ -117,7 +118,7 @@ func newServiceFlags(fs *flag.FlagSet) serviceFlags {
 
 		metricsAddr: fs.String("metrics-addr", "", "ops endpoint address (host:port or :port) serving /metrics, /metrics.json and /debug/pprof (empty = off)"),
 
-		groups:    fs.Int("groups", 1, "consensus groups multiplexed over the shared transport (each owns a strided instance-ID slice and its own journal subdirectory)"),
+		groups:    fs.Int("groups", 1, "consensus groups multiplexed over the shared transport (each owns a strided instance-ID slice; above 1, each journals in its own group-NNNN subdirectory)"),
 		placement: fs.String("placement", "round-robin", "proposal placement across groups: round-robin, least-loaded or key-affinity"),
 
 		adaptive:      fs.Bool("adaptive", false, "attach the feedback control plane: batch/linger tuned from observed latency and backlog, overload shed with a typed error"),
@@ -160,41 +161,23 @@ func (f serviceFlags) adaptConfig() *adapt.Config {
 	return cfg
 }
 
-// started bundles whichever runtime shape the flags produced: one
-// service.Service for -groups 1 (byte-identical to the pre-sharding
-// path), or a shard.Runtime routing across G groups otherwise.
+// started is the runtime the flags produced — a shard.Runtime of
+// -groups G groups, G=1 included — and the transport it runs on.
 type started struct {
-	svc     *service.Service // -groups 1
-	rt      *shard.Runtime   // -groups > 1
+	rt      *shard.Runtime
 	hub     *transport.Hub
 	peer    *transport.TCPEndpoint // peer mode: this member's endpoint
 	peerCfg transport.PeerConfig
-	jn      *journal.Journal   // single-group journal; sharded ones live in rt
 	ops     *metrics.OpsServer // -metrics-addr endpoint (nil = off)
 	cleanup func()
 }
 
-// sink returns the proposal entry point of whichever shape started.
-func (s *started) sink() proposalSink {
-	if s.rt != nil {
-		return s.rt
-	}
-	return s.svc
-}
-
-// close drains and stops the runtime (transport cleanup stays separate).
-func (s *started) close() error {
-	if s.rt != nil {
-		return s.rt.Close()
-	}
-	return s.svc.Close()
-}
-
-// start builds the transport, the optional journal(s) and the service —
-// or the sharded runtime for -groups > 1 — from the parsed flags. In
-// peer mode the transport is this member's TCP endpoint and the service
-// runs it as its only local member. The returned cleanup closes the
-// transport and the journal; call it after the service is closed.
+// start builds the transport and the runtime, with its journals when
+// -journal is set, from the parsed flags. In peer mode the transport is
+// this member's TCP endpoint and the runtime runs it as its only local
+// member. The returned cleanup closes the runtime (a no-op once the
+// caller has closed it and read its error), then the ops endpoint and
+// the transport.
 func (f serviceFlags) start() (*started, error) {
 	factory, err := factoryByName(*f.algo)
 	if err != nil {
@@ -252,53 +235,23 @@ func (f serviceFlags) start() (*started, error) {
 		Adaptive:    f.adaptConfig(),
 		Metrics:     reg,
 	}
-	if *f.groups > 1 {
-		rt, err := shard.New(shard.Config{
-			Service:        cfg,
-			Groups:         *f.groups,
-			Placement:      policy,
-			JournalDir:     *f.journal,
-			JournalOptions: journal.Options{SegmentBytes: *f.segment},
-		}, eps)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		st.rt, st.cleanup = rt, cleanup
-		return st, nil
-	}
-	var jn *journal.Journal
-	if *f.journal != "" {
-		jo := journal.Options{SegmentBytes: *f.segment}
-		if reg != nil {
-			jo.Metrics = reg
-			jo.MetricsLabels = []metrics.Label{{Key: "group", Value: "0"}}
-		}
-		jn, err = journal.Open(*f.journal, jo)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		prev := cleanup
-		cleanup = func() {
-			prev()
-			_ = jn.Close()
-		}
-	}
-	cfg.Journal = jn
-	svc, err := service.New(cfg, eps)
+	rt, err := shard.New(shard.Config{
+		Service:        cfg,
+		Groups:         *f.groups,
+		Placement:      policy,
+		JournalDir:     *f.journal,
+		JournalOptions: journal.Options{SegmentBytes: *f.segment},
+	}, eps)
 	if err != nil {
 		cleanup()
 		return nil, err
 	}
-	st.svc, st.jn, st.cleanup = svc, jn, cleanup
+	st.rt = rt
+	st.cleanup = func() {
+		_ = rt.Close()
+		cleanup()
+	}
 	return st, nil
-}
-
-// proposalSink is what the stdin loop needs from either runtime shape
-// (one service.Service or a shard.Runtime).
-type proposalSink interface {
-	Propose(ctx context.Context, v model.Value) (*service.Future, error)
 }
 
 // printJournalRecovery reports what a freshly opened journal recovered.
@@ -315,7 +268,7 @@ func printJournalRecovery(jn *journal.Journal) {
 // serveLoop reads one integer proposal per stdin line, proposes each, and
 // prints its decision when the instance it rode resolves. It returns when
 // stdin hits EOF and every future has fired.
-func serveLoop(svc proposalSink) error {
+func serveLoop(rt *shard.Runtime) error {
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	var scanErr error
@@ -330,7 +283,7 @@ func serveLoop(svc proposalSink) error {
 			fmt.Printf("not a proposal: %q\n", line)
 			continue
 		}
-		fut, err := svc.Propose(ctx, model.Value(v))
+		fut, err := rt.Propose(ctx, model.Value(v))
 		if err != nil {
 			scanErr = err
 			break
@@ -379,7 +332,7 @@ func cmdServe(args []string) error {
 		fmt.Printf("consensus service up: %s, n=%d t=%d, %s transport, batch ≤ %d, linger %s, ≤ %d instances inflight\n",
 			*f.algo, *f.n, *f.t, *f.trans, *f.batch, *f.linger, *f.inflight)
 	}
-	if s.rt != nil {
+	if s.rt.Groups() > 1 {
 		fmt.Printf("sharded: %d consensus groups, %s placement, strided instance-ID spaces\n",
 			s.rt.Groups(), s.rt.Policy())
 	}
@@ -390,52 +343,37 @@ func cmdServe(args []string) error {
 		}
 		fmt.Printf("adaptive control plane on: %s (decision log with -verbose)\n", mode)
 	}
-	if s.jn != nil {
-		printJournalRecovery(s.jn)
-	}
-	if s.rt != nil {
-		for _, jn := range s.rt.Journals() {
-			printJournalRecovery(jn)
-		}
+	for _, jn := range s.rt.Journals() {
+		printJournalRecovery(jn)
 	}
 	if s.ops != nil {
 		fmt.Printf("ops: http://%s/metrics (Prometheus text), /metrics.json (snapshot), /debug/pprof\n", s.ops.Addr())
 	}
 	fmt.Println("enter one integer proposal per line (EOF to stop):")
 
-	scanErr := serveLoop(s.sink())
-	if err := s.close(); err != nil {
+	scanErr := serveLoop(s.rt)
+	if err := s.rt.Close(); err != nil {
 		return err
 	}
-	if s.rt != nil {
-		roll := s.rt.Snapshot()
-		fmt.Printf("served %d proposals over %d instances across %d groups%s\n",
-			roll.Resolved, roll.Instances, s.rt.Groups(), s.joined(roll.JoinedInstances))
-		for g, st := range roll.Groups {
-			fmt.Printf("  group %d: %d proposals over %d instances%s; latency %s\n",
-				g, st.Resolved, st.Instances, s.joined(st.JoinedInstances), st.Latency)
+	roll := s.rt.Snapshot()
+	fmt.Printf("served %d proposals over %d instances across %d groups%s\n",
+		roll.Resolved, roll.Instances, s.rt.Groups(), s.joined(roll.JoinedInstances))
+	for g, st := range roll.Groups {
+		fmt.Printf("  group %d: %d proposals over %d instances%s; latency %s\n",
+			g, st.Resolved, st.Instances, s.joined(st.JoinedInstances), st.Latency)
+		if *f.adaptive {
+			fmt.Printf("  group %d control plane: %d adjustments over %d ticks, final batch ≤ %d linger %s, %d selector transitions, %d proposals shed; algorithms %s\n",
+				g, st.Control.Adjustments, st.Control.Ticks, st.Control.Batch, st.Control.Linger,
+				st.Control.Transitions, st.Overloads, formatAlgs(st.Algorithms))
 		}
-		printShardJournals(s.rt.Journals())
-		if len(roll.Violations) > 0 {
-			return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
-		}
-		return scanErr
 	}
-	st := s.svc.Snapshot()
-	fmt.Printf("served %d proposals over %d instances%s; latency %s\n",
-		st.Resolved, st.Instances, s.joined(st.JoinedInstances), st.Latency)
-	if *f.adaptive {
-		fmt.Printf("control plane: %d adjustments over %d ticks, final batch ≤ %d linger %s, %d selector transitions, %d proposals shed; algorithms %s\n",
-			st.Control.Adjustments, st.Control.Ticks, st.Control.Batch, st.Control.Linger,
-			st.Control.Transitions, st.Overloads, formatAlgs(st.Algorithms))
+	for g, jn := range s.rt.Journals() {
+		js := jn.Snapshot()
+		fmt.Printf("journal group %d: %d decisions durable over %d fsyncs; fsync %s\n",
+			g, js.Decisions, js.Syncs, js.SyncLatency)
 	}
-	if s.jn != nil {
-		js := s.jn.Snapshot()
-		fmt.Printf("journal: %d decisions durable over %d fsyncs; fsync %s\n",
-			js.Decisions, js.Syncs, js.SyncLatency)
-	}
-	if len(st.Violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(st.Violations), st.Violations)
+	if len(roll.Violations) > 0 {
+		return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
 	}
 	return scanErr
 }
@@ -447,15 +385,6 @@ func (s *started) joined(n int) string {
 		return ""
 	}
 	return fmt.Sprintf(" (%d joined from peers)", n)
-}
-
-// printShardJournals reports the per-group journals' durability summary.
-func printShardJournals(jns []*journal.Journal) {
-	for g, jn := range jns {
-		js := jn.Snapshot()
-		fmt.Printf("journal group %d: %d decisions durable over %d fsyncs; fsync %s\n",
-			g, js.Decisions, js.Syncs, js.SyncLatency)
-	}
 }
 
 // formatAlgs renders an instances-per-algorithm map as a stable
@@ -519,7 +448,6 @@ func cmdBenchService(args []string) error {
 	if s.ops != nil {
 		fmt.Printf("ops: http://%s/metrics (Prometheus text), /metrics.json (snapshot), /debug/pprof\n", s.ops.Addr())
 	}
-	svc := s.sink()
 	if *delay > 0 {
 		if s.hub == nil {
 			return fmt.Errorf("delay injection needs the memory transport")
@@ -567,7 +495,7 @@ func cmdBenchService(args []string) error {
 			defer wg.Done()
 			for v := range next {
 				for {
-					fut, err := svc.Propose(ctx, v)
+					fut, err := s.rt.Propose(ctx, v)
 					if err == nil {
 						_, err = fut.Wait(ctx)
 					}
@@ -595,74 +523,29 @@ func cmdBenchService(args []string) error {
 	}
 	wg.Wait()
 	elapsed := time.Since(begin)
-	if err := s.close(); err != nil {
+	if err := s.rt.Close(); err != nil {
 		return err
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	if s.rt != nil {
-		return benchShardReport(f, s.rt, elapsed, *clients, *burst, *burstIdle)
-	}
-
-	st := s.svc.Snapshot()
-	title := fmt.Sprintf("bench-service: %s, n=%d t=%d, %s transport, %d clients, batch ≤ %d, ≤ %d inflight",
-		*f.algo, *f.n, *f.t, *f.trans, *clients, *f.batch, *f.inflight)
-	if *f.adaptive {
-		title += ", adaptive"
-	}
-	if *burst > 0 {
-		title += fmt.Sprintf(", bursts of %d every %s", *burst, *burstIdle)
-	}
-	table := stats.NewTable(title, "metric", "value")
-	table.AddRowf("proposals resolved", st.Resolved)
-	table.AddRowf("instances decided", st.Instances)
-	table.AddRowf("wall time", elapsed.Round(time.Millisecond))
-	table.AddRowf("proposals/sec", fmt.Sprintf("%.0f", float64(st.Resolved)/elapsed.Seconds()))
-	table.AddRowf("decisions/sec (instances)", fmt.Sprintf("%.0f", float64(st.Instances)/elapsed.Seconds()))
-	table.AddRowf("mean batch", fmt.Sprintf("%.2f", float64(st.Resolved)/float64(max(st.Instances, 1))))
-	table.AddRowf("batch fill mean %", fmt.Sprintf("%.0f", st.BatchFill.Mean))
-	table.AddRowf("latency p50", st.Latency.P50.Round(time.Microsecond))
-	table.AddRowf("latency p90", st.Latency.P90.Round(time.Microsecond))
-	table.AddRowf("latency p99", st.Latency.P99.Round(time.Microsecond))
-	table.AddRowf("latency max", st.Latency.Max.Round(time.Microsecond))
-	table.AddRowf("decision latency p50", st.DecisionLatency.P50.Round(time.Microsecond))
-	table.AddRowf("round latency p50", st.RoundLatency.P50.Round(time.Microsecond))
-	table.AddRowf("rounds min..max (t+2 floor)", fmt.Sprintf("%d..%d (%d)", st.Rounds.Min, st.Rounds.Max, *f.t+2))
-	table.AddRowf("check violations", len(st.Violations))
-	if *f.adaptive {
-		table.AddRowf("controller adjustments", st.Control.Adjustments)
-		table.AddRowf("controller ticks", st.Control.Ticks)
-		table.AddRowf("effective batch (final)", st.Control.Batch)
-		table.AddRowf("effective linger (final)", st.Control.Linger)
-		table.AddRowf("selector transitions", st.Control.Transitions)
-		table.AddRowf("proposals shed (overload)", st.Overloads)
-		table.AddRowf("algorithms", formatAlgs(st.Algorithms))
-	}
-	if s.jn != nil {
-		js := s.jn.Snapshot()
-		table.AddRowf("journal decisions durable", js.Decisions)
-		table.AddRowf("journal fsyncs (group commits)", js.Syncs)
-		table.AddRowf("journal fsync p99", js.SyncLatency.P99.Round(time.Microsecond))
-		table.AddRowf("journal segments", js.Segments)
-	}
-	table.Render(os.Stdout)
-	if len(st.Violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(st.Violations), st.Violations)
-	}
-	if st.Failed > 0 || st.InstanceFailures > 0 {
-		return fmt.Errorf("%d proposals / %d instances failed", st.Failed, st.InstanceFailures)
-	}
-	return nil
+	return benchReport(f, s.rt, elapsed, *clients, *burst, *burstIdle)
 }
 
-// benchShardReport renders the sharded bench table: aggregate throughput
-// across every group (the number the sharding exists to raise) plus one
-// row per group, since latency percentiles do not merge across groups.
-func benchShardReport(f serviceFlags, rt *shard.Runtime, elapsed time.Duration, clients, burst int, burstIdle time.Duration) error {
+// benchReport renders the closed-loop bench table: aggregate throughput
+// across every group, then each group's latency, round and control-plane
+// rows (percentiles do not merge across groups) and each group's journal.
+// With one group the per-group rows carry no group prefix.
+func benchReport(f serviceFlags, rt *shard.Runtime, elapsed time.Duration, clients, burst int, burstIdle time.Duration) error {
 	roll := rt.Snapshot()
-	title := fmt.Sprintf("bench-service: %s, n=%d t=%d, %s transport, %d clients, %d groups (%s placement), batch ≤ %d, ≤ %d inflight/group",
-		*f.algo, *f.n, *f.t, *f.trans, clients, rt.Groups(), rt.Policy(), *f.batch, *f.inflight)
+	title := fmt.Sprintf("bench-service: %s, n=%d t=%d, %s transport, %d clients",
+		*f.algo, *f.n, *f.t, *f.trans, clients)
+	perGroup := ""
+	if rt.Groups() > 1 {
+		title += fmt.Sprintf(", %d groups (%s placement)", rt.Groups(), rt.Policy())
+		perGroup = "/group"
+	}
+	title += fmt.Sprintf(", batch ≤ %d, ≤ %d inflight%s", *f.batch, *f.inflight, perGroup)
 	if *f.adaptive {
 		title += ", adaptive"
 	}
@@ -670,24 +553,48 @@ func benchShardReport(f serviceFlags, rt *shard.Runtime, elapsed time.Duration, 
 		title += fmt.Sprintf(", bursts of %d every %s", burst, burstIdle)
 	}
 	table := stats.NewTable(title, "metric", "value")
-	table.AddRowf("proposals resolved (all groups)", roll.Resolved)
-	table.AddRowf("instances decided (all groups)", roll.Instances)
+	// row adds one group's row: bare with one group, group-prefixed
+	// otherwise.
+	row := func(g int, label string, value any) {
+		if rt.Groups() > 1 {
+			label = fmt.Sprintf("group %d %s", g, label)
+		}
+		table.AddRowf(label, value)
+	}
+	table.AddRowf("proposals resolved", roll.Resolved)
+	table.AddRowf("instances decided", roll.Instances)
 	table.AddRowf("wall time", elapsed.Round(time.Millisecond))
-	table.AddRowf("aggregate proposals/sec", fmt.Sprintf("%.0f", float64(roll.Resolved)/elapsed.Seconds()))
-	table.AddRowf("aggregate decisions/sec", fmt.Sprintf("%.0f", float64(roll.Instances)/elapsed.Seconds()))
+	table.AddRowf("proposals/sec", fmt.Sprintf("%.0f", float64(roll.Resolved)/elapsed.Seconds()))
+	table.AddRowf("decisions/sec (instances)", fmt.Sprintf("%.0f", float64(roll.Instances)/elapsed.Seconds()))
 	table.AddRowf("mean batch", fmt.Sprintf("%.2f", float64(roll.Resolved)/float64(max(roll.Instances, 1))))
-	table.AddRowf("proposals shed (overload)", roll.Overloads)
 	for g, st := range roll.Groups {
-		table.AddRowf(fmt.Sprintf("group %d", g),
-			fmt.Sprintf("%d proposals / %d instances, p50 %s p99 %s",
-				st.Resolved, st.Instances,
-				st.Latency.P50.Round(time.Microsecond), st.Latency.P99.Round(time.Microsecond)))
+		row(g, "batch fill mean %", fmt.Sprintf("%.0f", st.BatchFill.Mean))
+		row(g, "latency p50", st.Latency.P50.Round(time.Microsecond))
+		row(g, "latency p90", st.Latency.P90.Round(time.Microsecond))
+		row(g, "latency p99", st.Latency.P99.Round(time.Microsecond))
+		row(g, "latency max", st.Latency.Max.Round(time.Microsecond))
+		row(g, "decision latency p50", st.DecisionLatency.P50.Round(time.Microsecond))
+		row(g, "round latency p50", st.RoundLatency.P50.Round(time.Microsecond))
+		row(g, "rounds min..max (t+2 floor)", fmt.Sprintf("%d..%d (%d)", st.Rounds.Min, st.Rounds.Max, *f.t+2))
 	}
 	table.AddRowf("check violations", len(roll.Violations))
+	if *f.adaptive {
+		for g, st := range roll.Groups {
+			row(g, "controller adjustments", st.Control.Adjustments)
+			row(g, "controller ticks", st.Control.Ticks)
+			row(g, "effective batch (final)", st.Control.Batch)
+			row(g, "effective linger (final)", st.Control.Linger)
+			row(g, "selector transitions", st.Control.Transitions)
+			row(g, "proposals shed (overload)", st.Overloads)
+			row(g, "algorithms", formatAlgs(st.Algorithms))
+		}
+	}
 	for g, jn := range rt.Journals() {
 		js := jn.Snapshot()
-		table.AddRowf(fmt.Sprintf("journal group %d", g),
-			fmt.Sprintf("%d decisions durable / %d fsyncs", js.Decisions, js.Syncs))
+		row(g, "journal decisions durable", js.Decisions)
+		row(g, "journal fsyncs (group commits)", js.Syncs)
+		row(g, "journal fsync p99", js.SyncLatency.P99.Round(time.Microsecond))
+		row(g, "journal segments", js.Segments)
 	}
 	table.Render(os.Stdout)
 	if len(roll.Violations) > 0 {

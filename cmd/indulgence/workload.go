@@ -91,8 +91,8 @@ func benchWorkload(f serviceFlags, wlArg, recordPath string, liveRec bool, limit
 // own fixture: replay-trace re-executes it and must match byte for
 // byte.
 func recordWorkload(f serviceFlags, spec *workload.Spec, path string) error {
-	if *f.groups > 1 && *f.placement != "round-robin" {
-		return fmt.Errorf("deterministic recording shards with round-robin placement, not %s (use -record with -live for a real-clock recording)", *f.placement)
+	if *f.placement != "round-robin" {
+		return fmt.Errorf("deterministic recording places proposals round-robin, not %s (use -record with -live for a real-clock recording)", *f.placement)
 	}
 	sc := chaos.WorkloadScenario(chaos.Scenario{
 		Seed:        spec.Seed,
@@ -177,10 +177,7 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 	ctx, cancel := context.WithTimeout(context.Background(), limit)
 	defer cancel()
 	propose := func(e workload.Event) (*service.Future, error) {
-		if s.rt != nil {
-			return s.rt.ProposeKeyClass(ctx, e.Key, e.Class, e.Value)
-		}
-		return s.svc.ProposeClass(ctx, e.Class, e.Value)
+		return s.rt.ProposeKeyClass(ctx, e.Key, e.Class, e.Value)
 	}
 
 	outcomes := make([]wire.TraceOutcomeRecord, len(events))
@@ -201,7 +198,7 @@ func runWorkloadLive(f serviceFlags, spec *workload.Spec, recordPath string, lim
 	}
 	wg.Wait()
 	elapsed := time.Since(begin)
-	if err := s.close(); err != nil {
+	if err := s.rt.Close(); err != nil {
 		return err
 	}
 	if w != nil {
@@ -259,9 +256,7 @@ func driveEvent(ctx context.Context, propose func(workload.Event) (*service.Futu
 		rec.Round = dec.Round
 		rec.Batch = dec.Batch
 		rec.Class = dec.Class
-		if groups > 1 {
-			rec.Group = dec.Instance % uint64(groups)
-		}
+		rec.Group = dec.Instance % uint64(groups)
 		rec.LatencyNanos = int64(time.Since(start))
 		return rec
 	}
@@ -315,26 +310,15 @@ func workloadReport(f serviceFlags, s *started, spec *workload.Spec, events []wo
 				sum.P50.Round(time.Microsecond), sum.P90.Round(time.Microsecond),
 				sum.P99.Round(time.Microsecond), sum.P999.Round(time.Microsecond)))
 	}
-	var violations []string
-	if s.rt != nil {
-		roll := s.rt.Snapshot()
-		violations = roll.Violations
-		table.AddRowf("service sheds (admission)", roll.Overloads)
-		if len(roll.OverloadsByClass) > 0 {
-			table.AddRowf("sheds by class", fmt.Sprintf("%v", roll.OverloadsByClass))
-		}
-	} else {
-		st := s.svc.Snapshot()
-		violations = st.Violations
-		table.AddRowf("service sheds (admission)", st.Overloads)
-		if len(st.OverloadsByClass) > 0 {
-			table.AddRowf("sheds by class", fmt.Sprintf("%v", st.OverloadsByClass))
-		}
+	roll := s.rt.Snapshot()
+	table.AddRowf("service sheds (admission)", roll.Overloads)
+	if len(roll.OverloadsByClass) > 0 {
+		table.AddRowf("sheds by class", fmt.Sprintf("%v", roll.OverloadsByClass))
 	}
-	table.AddRowf("check violations", len(violations))
+	table.AddRowf("check violations", len(roll.Violations))
 	table.Render(os.Stdout)
-	if len(violations) > 0 {
-		return fmt.Errorf("%d consensus violations: %v", len(violations), violations)
+	if len(roll.Violations) > 0 {
+		return fmt.Errorf("%d consensus violations: %v", len(roll.Violations), roll.Violations)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d events failed", failed)

@@ -24,7 +24,8 @@
 //     journaled before their futures resolve, and recovery replays the
 //     log instead of re-running consensus;
 //   - the experiment suite regenerating every quantitative claim of the
-//     paper (see EXPERIMENTS.md).
+//     paper, run through the indulgence CLI's table command (see
+//     EXPERIMENTS.md).
 //
 // Quick start:
 //
@@ -45,7 +46,6 @@ import (
 	"indulgence/internal/baseline"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
-	"indulgence/internal/experiments"
 	"indulgence/internal/journal"
 	"indulgence/internal/lowerbound"
 	"indulgence/internal/model"
@@ -55,7 +55,6 @@ import (
 	"indulgence/internal/sim"
 	"indulgence/internal/trace"
 	"indulgence/internal/transport"
-	"indulgence/internal/wire"
 )
 
 // Core model types.
@@ -195,13 +194,6 @@ func CheckConsensus(res *SimResult, proposals []Value) Report {
 	return check.Consensus(res, proposals)
 }
 
-// CheckInstance verifies validity, uniform agreement and termination over
-// the live decisions of one consensus instance (a runtime cluster or a
-// service shard); decisions[i] belongs to process i+1.
-func CheckInstance(decisions []OptValue, proposals []Value, crashed PIDSet) Report {
-	return check.Instance(decisions, proposals, crashed)
-}
-
 // ReadRunTrace deserializes a recorded run written with
 // (*RunTrace).WriteJSON.
 func ReadRunTrace(r io.Reader) (*RunTrace, error) { return trace.ReadJSON(r) }
@@ -310,17 +302,6 @@ type (
 	// TCPCluster is the in-process TCP loopback cluster (one endpoint
 	// per process, ephemeral ports).
 	TCPCluster = transport.TCPCluster
-	// TCPEndpoint is one process of a multi-process TCP cluster:
-	// listener/dialer split, handshake-identified connections, bounded
-	// -backoff reconnect.
-	TCPEndpoint = transport.TCPEndpoint
-	// TCPOptions tunes a multi-process TCP endpoint (timeouts, backoff).
-	TCPOptions = transport.TCPOptions
-	// PeerTransportConfig is one process's view of a multi-process
-	// cluster: self ID plus the addressed peer list.
-	PeerTransportConfig = transport.PeerConfig
-	// TransportPeer is one member of the peer list.
-	TransportPeer = transport.Peer
 )
 
 // NewHub returns an in-memory transport hub for n processes.
@@ -328,25 +309,6 @@ func NewHub(n int) (*Hub, error) { return transport.NewHub(n) }
 
 // NewTCPCluster starts n fully connected TCP loopback endpoints.
 func NewTCPCluster(n int) (*TCPCluster, error) { return transport.NewTCPCluster(n) }
-
-// NewTCPEndpoint starts one process of a multi-process TCP cluster from
-// its peer config (listen on the self entry, dial the rest lazily with
-// reconnect).
-func NewTCPEndpoint(cfg PeerTransportConfig, opts TCPOptions) (*TCPEndpoint, error) {
-	return transport.NewTCPEndpoint(cfg, opts)
-}
-
-// ParsePeers parses a `p1=host:port,p2=host:port,...` peer list into a
-// transport config for the given self ID.
-func ParsePeers(self ProcessID, cluster, spec string) (PeerTransportConfig, error) {
-	return transport.ParsePeers(self, cluster, spec)
-}
-
-// LoadPeerFile reads a peer config file (one pN=host:port entry per
-// line, # comments allowed).
-func LoadPeerFile(self ProcessID, cluster, path string) (PeerTransportConfig, error) {
-	return transport.LoadPeerFile(self, cluster, path)
-}
 
 // NewCluster assembles a live cluster (started with its Run method).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return runtime.New(cfg) }
@@ -365,8 +327,6 @@ type (
 	// ServiceStats is a snapshot of service counters and latency
 	// percentiles.
 	ServiceStats = service.Stats
-	// Mux multiplexes consensus instances over one transport endpoint.
-	Mux = transport.Mux
 	// AdaptiveConfig describes the feedback control plane attached via
 	// ServiceConfig.Adaptive: AIMD
 	// batch/linger tuning, per-instance algorithm selection, and
@@ -388,9 +348,6 @@ func NewService(cfg ServiceConfig, endpoints []Transport) (*Service, error) {
 	return service.New(cfg, endpoints)
 }
 
-// NewMux multiplexes instance-addressed streams over one endpoint.
-func NewMux(ep Transport) *Mux { return transport.NewMux(ep) }
-
 // Durable decision journal (crash-restart recovery for the service).
 type (
 	// Journal is the append-only, fsync-batched decision log a service
@@ -400,15 +357,6 @@ type (
 	JournalOptions = journal.Options
 	// JournalStats is a snapshot of journal counters and fsync latency.
 	JournalStats = journal.Stats
-	// JournalEntry is one replayed journal record (start or decision).
-	JournalEntry = journal.Entry
-	// JournalReplayInfo summarizes one read of a journal directory.
-	JournalReplayInfo = journal.ReplayInfo
-	// DecisionRecord is the durable record of one decided instance.
-	DecisionRecord = wire.DecisionRecord
-	// StartRecord is the durable claim of an instance ID, optionally
-	// tagged with the algorithm the instance was launched with.
-	StartRecord = wire.StartRecord
 )
 
 // OpenJournal opens (creating if needed) the decision journal at dir,
@@ -417,28 +365,3 @@ type (
 func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	return journal.Open(dir, opts)
 }
-
-// ReplayJournal iterates every intact record of a journal directory in
-// append order, tolerating a torn tail on the final segment exactly as
-// recovery does.
-func ReplayJournal(dir string, fn func(JournalEntry) error) (JournalReplayInfo, error) {
-	return journal.Replay(dir, fn)
-}
-
-// CheckReplay cross-checks a journal's decision records and start
-// claims against live observations (instance → resolved value),
-// extending uniform agreement — including per-instance algorithm
-// choices — across process lifetimes.
-func CheckReplay(records []DecisionRecord, starts []StartRecord, live map[uint64]Value) Report {
-	return check.Replay(records, starts, live)
-}
-
-// Experiments.
-type (
-	// ExperimentOutcome is one experiment's tables and verdict.
-	ExperimentOutcome = experiments.Outcome
-)
-
-// RunExperiments executes the full simulator-backed experiment suite
-// (E1–E8 and the ablations) with test-sized parameters.
-func RunExperiments() ([]*ExperimentOutcome, error) { return experiments.All() }

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"hash/fnv"
-	"sync/atomic"
 	"time"
 
 	"indulgence/internal/chaos/clock"
@@ -76,17 +75,6 @@ type endpoint struct {
 func (e *endpoint) Self() model.ProcessID { return e.self }
 func (e *endpoint) Recv() <-chan []byte   { return e.inner.Recv() }
 func (e *endpoint) Close() error          { return e.inner.Close() }
-
-// SharedFrameCounter exposes the inner transport's in-flight frame
-// counter so a Mux stacked on the wrapped endpoint still feeds the
-// virtual clock's idle check. Frames the injector itself holds are
-// clock events, which the clock already accounts for.
-func (e *endpoint) SharedFrameCounter() *atomic.Int64 {
-	if fc, ok := e.inner.(interface{ SharedFrameCounter() *atomic.Int64 }); ok {
-		return fc.SharedFrameCounter()
-	}
-	return nil
-}
 
 // hopDelay is the floor on every cross-process delivery: even an
 // unfaulted frame takes one virtual microsecond. This is what makes a

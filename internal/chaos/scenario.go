@@ -119,13 +119,10 @@ type Scenario struct {
 	// Horizon is the fault horizon: dropped frames deliver shortly
 	// after it, and all fault windows end at or before it.
 	Horizon time.Duration
-	// Groups, when above 1, runs the scenario on the sharded runtime
-	// (internal/shard): Groups consensus groups over the shared
-	// endpoints, proposals placed round-robin, every group journaling
-	// into its own subdirectory and audited per group. 0 or 1 runs the
-	// single-group service exactly as before the field existed; the
-	// field is omitted from the JSON encoding when 0, so legacy specs
-	// replay byte-identically.
+	// Groups is the number of consensus groups the scenario's sharded
+	// runtime (internal/shard) runs over the shared endpoints, with
+	// proposals placed round-robin; 0 means 1. The field is omitted from
+	// the JSON encoding when 0, so legacy specs replay byte-identically.
 	Groups int `json:",omitempty"`
 	// Workload, when set, replaces the fixed wave load with a generated
 	// workload (internal/workload): every generated event is submitted

@@ -205,78 +205,19 @@ func Run(sc Scenario, opts Options) Result {
 	if sc.Adaptive {
 		cfg.Adaptive = &adapt.Config{Classes: sc.Classes}
 	}
-	// The two runtime shapes — the single-group service and the sharded
-	// multi-group runtime — are abstracted behind four closures so the
-	// schedule driver and the audits below stay shared. NoSync on every
-	// journal: it is an audit trail here, not a durability promise, and
-	// fsync stalls would leak wall time into the virtual schedule.
-	var (
-		propose  func(context.Context, int, model.Value) (*service.Future, error)
-		abortSvc func()
-		closeSvc func()
-		// liveViolations reads the live check.Instance findings after
-		// shutdown; replayAll reads back every journaled record and
-		// claim (all groups of a sharded run in one stream, arming
-		// check.Replay's cross-group instance audit).
-		liveViolations func() []string
-		replayAll      func() ([]wire.DecisionRecord, []wire.StartRecord, error)
-	)
-	if groups > 1 {
-		rt, err := shard.New(shard.Config{
-			Service:        cfg,
-			Groups:         groups,
-			JournalDir:     dir,
-			JournalOptions: journal.Options{NoSync: true},
-		}, eps)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		propose = rt.ProposeClass
-		abortSvc = rt.Abort
-		closeSvc = func() { rt.Close() }
-		liveViolations = func() []string { return rt.Snapshot().Violations }
-		replayAll = func() ([]wire.DecisionRecord, []wire.StartRecord, error) {
-			return shard.ReplayDir(dir, groups)
-		}
-	} else {
-		j, err := journal.Open(dir, journal.Options{
-			NoSync:        true,
-			Metrics:       reg,
-			MetricsLabels: []metrics.Label{{Key: "group", Value: "0"}},
-		})
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		cfg.Journal = j
-		svc, err := service.New(cfg, eps)
-		if err != nil {
-			j.Close()
-			res.Err = err
-			return res
-		}
-		propose = svc.ProposeClass
-		abortSvc = svc.Abort
-		closeSvc = func() { svc.Close() }
-		liveViolations = func() []string { return svc.Snapshot().Violations }
-		replayAll = func() ([]wire.DecisionRecord, []wire.StartRecord, error) {
-			j.Close()
-			var recs []wire.DecisionRecord
-			var starts []wire.StartRecord
-			_, err := journal.Replay(dir, func(e journal.Entry) error {
-				switch {
-				case e.Trace != nil:
-					// Introspection context, not a claim or outcome.
-				case e.Start:
-					starts = append(starts, wire.StartRecord{Instance: e.Instance(), Alg: e.Alg})
-				default:
-					recs = append(recs, e.Decision)
-				}
-				return nil
-			})
-			return recs, starts, err
-		}
+	// Every scenario runs on the sharded runtime; one group is simply
+	// G=1, journaling at the root of dir. NoSync on every journal: it is
+	// an audit trail here, not a durability promise, and fsync stalls
+	// would leak wall time into the virtual schedule.
+	rt, err := shard.New(shard.Config{
+		Service:        cfg,
+		Groups:         groups,
+		JournalDir:     dir,
+		JournalOptions: journal.Options{NoSync: true},
+	}, eps)
+	if err != nil {
+		res.Err = err
+		return res
 	}
 
 	// Proposal load. Wave scenarios submit Waves fixed waves on the
@@ -310,7 +251,7 @@ func Run(sc Scenario, opts Options) Result {
 	// future to a waiter goroutine. Callers hold loadMu.
 	submitOne := func(i, class int, v model.Value) {
 		start := clk.Now()
-		fut, err := propose(context.Background(), class, v)
+		fut, err := rt.ProposeClass(context.Background(), class, v)
 		if err != nil {
 			outs[i] = outcome{err: err, shed: errors.Is(err, adapt.ErrOverload), class: class}
 			wg.Done()
@@ -428,13 +369,13 @@ func Run(sc Scenario, opts Options) Result {
 			wg.Done()
 		}
 		loadMu.Unlock()
-		abortSvc()
+		rt.Abort()
 		<-done
 		res.Violations = append(res.Violations,
 			//indulgence:wallclock wedge report quotes real elapsed time
 			fmt.Sprintf("wedged after %v virtual / %v wall", clk.Now().Sub(virtStart), time.Since(wallStart)))
 	} else {
-		closeSvc()
+		rt.Close()
 	}
 
 	res.Virtual = clk.Now().Sub(virtStart)
@@ -448,11 +389,13 @@ func Run(sc Scenario, opts Options) Result {
 	// force.
 	res.Metrics = stripFrameSeries(reg.Text())
 
-	// Audit 1: the service's own live check.Instance findings.
-	res.Violations = append(res.Violations, liveViolations()...)
+	// Audit 1: the services' own live check.Instance findings.
+	res.Violations = append(res.Violations, rt.Snapshot().Violations...)
 
-	// Audit 2: replay the journals against the futures' view.
-	recs, starts, err := replayAll()
+	// Audit 2: replay the journals against the futures' view — every
+	// group's records and claims in one stream, which arms
+	// check.Replay's cross-group instance audit.
+	recs, starts, err := shard.ReplayDir(dir, groups)
 	if err != nil {
 		res.Err = fmt.Errorf("chaos: replay journal: %w", err)
 		return res
@@ -538,8 +481,8 @@ func Sweep(baseSeed int64, count int, opts Options, onRun func(Result)) SweepSta
 	return SweepGroups(baseSeed, count, 1, opts, onRun)
 }
 
-// SweepGroups is Sweep on the sharded runtime: every generated scenario
-// runs with the given group count (via GenerateGroups, so the fault
+// SweepGroups is Sweep at a group count: every generated scenario runs
+// with the given number of groups (via GenerateGroups, so the fault
 // schedules match Sweep's seed for seed — the sweep exercises the same
 // adversaries against the multi-group stack). groups <= 1 is exactly
 // Sweep.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"time"
@@ -123,8 +124,11 @@ func e9Scenarios() []liveScenario {
 // must stay silent). Every scenario runs on its own virtual clock behind
 // the chaos fault fabric, so the whole experiment — 80ms delay windows,
 // 200ms heal schedules and all — costs milliseconds of wall time and is
-// reproducible from its seed (see E9DecisionLog).
+// reproducible from its seed (see E9DecisionLog). GOMAXPROCS is pinned
+// to 1 for the run and restored after: the virtual schedule relies on
+// same-instant goroutine wakeups interleaving cooperatively.
 func E9LiveRuntime() (*Outcome, error) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	o := &Outcome{
 		ID:    "E9",
 		Title: "Live service: indulgence under virtual time (in-memory transport, chaos fabric)",
@@ -155,11 +159,13 @@ func E9LiveRuntime() (*Outcome, error) {
 
 // E9DecisionLog runs every E9 scenario on virtual clocks and returns the
 // canonical decision log plus any failures. The log is the experiment's
-// reproducibility witness: for one seed, two runs (on a cooperatively
-// scheduled runtime — pin GOMAXPROCS to 1) must produce identical bytes,
-// because every cross-process frame is a tagged clock event whose
-// ordering is a pure function of (seed, frame contents).
+// reproducibility witness: for one seed, two runs must produce identical
+// bytes, because every cross-process frame is a tagged clock event whose
+// ordering is a pure function of (seed, frame contents). Like
+// E9LiveRuntime it pins GOMAXPROCS to 1 for the run and restores it
+// after, so the scheduling is cooperative.
 func E9DecisionLog(seed int64) (string, []string) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	var b strings.Builder
 	var fails []string
 	for _, sc := range e9Scenarios() {

@@ -49,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -159,6 +160,8 @@ type Journal struct {
 
 	intake     chan appendReq
 	writerDone chan struct{}
+	// inflight counts appends waiting on the writer (see Idle).
+	inflight atomic.Int64
 
 	// mu guards closed and the recovered/live state below; Append
 	// holds it for reading across the intake send so Close never
@@ -345,6 +348,8 @@ func (j *Journal) AppendDecisionTrace(r wire.DecisionTraceRecord) error {
 }
 
 func (j *Journal) append(e Entry, sync bool) error {
+	j.inflight.Add(1)
+	defer j.inflight.Add(-1)
 	req := appendReq{entry: e, sync: sync, done: make(chan error, 1)}
 	j.mu.RLock()
 	if j.closed {
@@ -355,6 +360,13 @@ func (j *Journal) append(e Entry, sync bool) error {
 	j.mu.RUnlock()
 	return <-req.done
 }
+
+// Idle reports whether no append is waiting on the writer. A service on
+// a virtual clock registers it as an idle check: a goroutine blocked in
+// a segment write is invisible to the scheduler sweeps that decide
+// quiescence, so without it simulated time could advance past an
+// instance whose start claim is still being written.
+func (j *Journal) Idle() bool { return j.inflight.Load() == 0 }
 
 // Get returns the journaled record of an instance, if any.
 func (j *Journal) Get(instance uint64) (wire.DecisionRecord, bool) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"indulgence/internal/chaos/clock"
 	"indulgence/internal/check"
 	"indulgence/internal/core"
 	"indulgence/internal/journal"
@@ -425,4 +426,80 @@ func TestServiceCrashRestartBattery(t *testing.T) {
 		t.Fatalf("battery exercised only %d kill points, want >= 50", kills)
 	}
 	t.Logf("crash-restart battery: %d randomized kill points", kills)
+}
+
+// TestJournalWriteHoldsVirtualTime: a journal write in flight keeps a
+// virtual clock from advancing. Every append here stalls the journal's
+// writer for a millisecond of wall time — invisible to the scheduler
+// sweeps that decide quiescence, like a slow disk — yet a service on a
+// virtual clock must resolve its proposals at exactly the virtual time
+// a fast journal gives.
+func TestJournalWriteHoldsVirtualTime(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	const n = 3
+	elapsed := func(stall time.Duration) time.Duration {
+		vc := clock.NewVirtual()
+		hub, err := transport.NewHubClock(n, vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hub.Close()
+		eps := make([]transport.Transport, n)
+		for i := range eps {
+			if eps[i], err = hub.Endpoint(model.ProcessID(i + 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jn, err := journal.Open(t.TempDir(), journal.Options{
+			NoSync:   true,
+			OnAppend: func(journal.Entry) { time.Sleep(stall) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jn.Close()
+		svc, err := service.New(service.Config{
+			N: n, T: 1,
+			Factory:     core.New(core.Options{}),
+			MaxBatch:    1,
+			MaxInflight: 1,
+			Journal:     jn,
+			Clock:       vc,
+		}, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := vc.Now()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for v := model.Value(1); v <= 4; v++ {
+				fut, err := svc.Propose(context.Background(), v)
+				if err == nil {
+					_, err = fut.Wait(context.Background())
+				}
+				if err != nil {
+					t.Errorf("proposal %d: %v", v, err)
+					return
+				}
+			}
+		}()
+		if !vc.Run(done) {
+			t.Fatalf("stall %v: proposals wedged", stall)
+		}
+		d := vc.Since(start)
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			_ = svc.Close()
+		}()
+		if !vc.Run(closed) {
+			t.Fatalf("stall %v: close wedged", stall)
+		}
+		return d
+	}
+	fast, slow := elapsed(0), elapsed(time.Millisecond)
+	if slow != fast {
+		t.Fatalf("slow journal writes moved virtual time: %v with 1ms stalls, %v without", slow, fast)
+	}
 }

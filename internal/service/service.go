@@ -622,6 +622,12 @@ func (s *Service) start() {
 		for _, m := range s.muxes {
 			m.RetireGroupBelow(s.cfg.Group, s.nextInstance)
 		}
+		// A virtual clock must not advance while a journal write is in
+		// flight: the batcher launches an instance only once its start
+		// claim is written.
+		if reg, ok := s.cfg.Clock.(clock.IdleRegistry); ok {
+			reg.RegisterIdle(s.cfg.Journal.Idle)
+		}
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	go s.batcher()

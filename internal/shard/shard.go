@@ -37,26 +37,31 @@ type Config struct {
 	// Placement routes proposals to groups (default round-robin).
 	Placement Policy
 	// JournalDir, when non-empty, gives every group a durable journal
-	// in its own subdirectory (see GroupDir). Empty runs without
-	// durability. Members of a multi-process cluster never share one.
+	// (see GroupDir for the layout). Empty runs without durability.
+	// Members of a multi-process cluster never share one.
 	JournalDir string
 	// JournalOptions configures every group's journal.
 	JournalOptions journal.Options
 }
 
-// GroupDir returns the journal directory of one group under a runtime's
-// journal root. The layout is stable — restart recovery and the offline
-// cross-group audit (check.Replay over every group's entries) both
-// address journals through it.
-func GroupDir(root string, group int) string {
+// GroupDir returns the journal directory of one group of a runtime with
+// the given group count under its journal root. A one-group runtime
+// journals at the root itself — the layout every unsharded journal has
+// always had — and each group of a sharded one in its own group-%04d
+// subdirectory. The layout is stable: restart recovery (New) and the
+// offline audit (ReplayDir) both address journals through it.
+func GroupDir(root string, groups, group int) string {
+	if groups == 1 {
+		return root
+	}
 	return filepath.Join(root, fmt.Sprintf("group-%04d", group))
 }
 
 // Runtime is the sharded runtime: G service.Service groups over one
 // shared set of muxes — one per local member — with the placement
-// router in front. It satisfies the same Propose/Snapshot/Close surface
-// the single-group service offers, so callers (the CLI's serve and
-// bench-service paths) treat one group and many uniformly.
+// router in front. One group is simply G=1: the CLI, the chaos harness
+// and the trace recorder run every service on a Runtime, whatever the
+// group count.
 type Runtime struct {
 	groups   []*service.Service
 	journals []*journal.Journal
@@ -139,7 +144,7 @@ func New(cfg Config, endpoints []transport.Transport) (*Runtime, error) {
 				jo.Metrics = cfg.Service.Metrics
 				jo.MetricsLabels = []metrics.Label{{Key: "group", Value: strconv.Itoa(g)}}
 			}
-			j, err := journal.Open(GroupDir(cfg.JournalDir, g), jo)
+			j, err := journal.Open(GroupDir(cfg.JournalDir, cfg.Groups, g), jo)
 			if err != nil {
 				r.teardown()
 				return nil, fmt.Errorf("shard: open group %d journal: %w", g, err)
@@ -358,15 +363,15 @@ func (r *Runtime) Abort() {
 }
 
 // ReplayDir replays every group journal under a runtime's journal root
-// (the GroupDir layout) into one decision-record and start-claim
-// stream, in ascending group order — the input shape check.Replay
-// audits: feeding all groups of one member to a single Replay call is
-// exactly what arms its cross-group instance-ID audit. Group
-// directories that do not exist are skipped (a fresh member may not
-// have journaled every group yet).
+// (the GroupDir layout for that group count) into one decision-record
+// and start-claim stream, in ascending group order — the input shape
+// check.Replay audits: feeding all groups of one member to a single
+// Replay call is exactly what arms its cross-group instance-ID audit.
+// Group directories that do not exist are skipped (a fresh member may
+// not have journaled every group yet).
 func ReplayDir(root string, groups int) (records []wire.DecisionRecord, starts []wire.StartRecord, err error) {
 	for g := 0; g < groups; g++ {
-		dir := GroupDir(root, g)
+		dir := GroupDir(root, groups, g)
 		_, err := journal.Replay(dir, func(e journal.Entry) error {
 			switch {
 			case e.Trace != nil:

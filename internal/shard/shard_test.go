@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -178,7 +179,7 @@ func TestReplayDirFlagsCrossGroupInstance(t *testing.T) {
 		{Instance: 5, Value: 7, Round: 3, Batch: 1, Group: 0},
 		{Instance: 5, Value: 7, Round: 3, Batch: 1, Group: 1},
 	} {
-		j, err := journal.Open(shard.GroupDir(dir, g), journal.Options{NoSync: true})
+		j, err := journal.Open(shard.GroupDir(dir, 2, g), journal.Options{NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,5 +319,109 @@ func TestPeerRuntimeMultiGroup(t *testing.T) {
 	}
 	if rep := check.Replay(records, starts, live); !rep.OK() {
 		t.Fatalf("cross-member replay audit failed: %v", rep.Violations)
+	}
+}
+
+// TestOneGroupResumesUnshardedJournal pins the journal layout rule for
+// one group: a journal written at a root directory by a bare
+// service.Service — the layout every unsharded -journal directory has —
+// is the journal a one-group runtime on that root resumes. The runtime
+// must serve the journaled decisions, resume past their frontier
+// without re-deciding any of them, and ReplayDir must read the root's
+// records and start claims back.
+func TestOneGroupResumesUnshardedJournal(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	live := make(map[uint64]model.Value)
+	decide := func(propose func(context.Context, model.Value) (*service.Future, error), base int) []uint64 {
+		var futs []*service.Future
+		for i := 0; i < 6; i++ {
+			f, err := propose(ctx, model.Value(base+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs = append(futs, f)
+		}
+		var insts []uint64
+		for _, f := range futs {
+			dec, err := f.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, ok := live[dec.Instance]; ok && prev != dec.Value {
+				t.Fatalf("instance %d resolved %d and later %d", dec.Instance, prev, dec.Value)
+			}
+			live[dec.Instance] = dec.Value
+			insts = append(insts, dec.Instance)
+		}
+		return insts
+	}
+
+	// The unsharded shape: one journal at the root, one service on it.
+	j, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := runtimeConfig(1).Service
+	cfg.Journal = j
+	svc, err := service.New(cfg, hubEndpoints(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := decide(svc.Propose, 100)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var frontier uint64
+	for _, inst := range before {
+		frontier = max(frontier, inst+1)
+	}
+
+	rcfg := runtimeConfig(1)
+	rcfg.JournalDir = dir
+	rt, err := shard.New(rcfg, hubEndpoints(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range before {
+		dec, ok := rt.Lookup(inst)
+		if !ok || dec.Value != live[inst] {
+			t.Fatalf("Lookup(%d) = %+v, %v; want the journaled value %d", inst, dec, ok, live[inst])
+		}
+	}
+	for _, inst := range decide(rt.Propose, 200) {
+		if inst < frontier {
+			t.Fatalf("resumed runtime decided instance %d below the journaled frontier %d", inst, frontier)
+		}
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(shard.GroupDir(dir, 2, 0)); !os.IsNotExist(err) {
+		t.Fatalf("one-group runtime created a group subdirectory (stat: %v)", err)
+	}
+
+	records, starts, err := shard.ReplayDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(starts) == 0 {
+		t.Fatal("ReplayDir returned no start claims")
+	}
+	decided := make(map[uint64]bool)
+	for _, r := range records {
+		decided[r.Instance] = true
+	}
+	for inst := range live {
+		if !decided[inst] {
+			t.Fatalf("ReplayDir is missing the decision of instance %d", inst)
+		}
+	}
+	if rep := check.Replay(records, starts, live); !rep.OK() {
+		t.Fatalf("replay audit failed: %v", rep.Violations)
 	}
 }
